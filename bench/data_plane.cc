@@ -2,7 +2,9 @@
 // store / SIMD / batching work touches:
 //
 //   1. XOR kernel GB/s: the portable scalar loop vs the runtime-dispatched
-//      SIMD path (XorBytes) that parity policies fold pages with.
+//      SIMD path (XorBytes) that parity policies fold pages with; and the
+//      wire CRC-32 over one page, slice-by-8 (Crc32Scalar) vs the
+//      runtime-dispatched Crc32.
 //   2. Server store ops/s at 1/4/16 threads, with the page store configured
 //      as one lock stripe (the old global-mutex server) vs the default
 //      sharded layout, under a modeled per-page service time (see
@@ -36,6 +38,7 @@
 #include "src/transport/inproc_transport.h"
 #include "src/transport/tcp.h"
 #include "src/util/bytes.h"
+#include "src/util/checksum.h"
 
 namespace rmp {
 namespace {
@@ -72,6 +75,33 @@ void BenchXor(bool quick) {
   EmitBenchResult("data_plane", "xor/scalar", "throughput", scalar, "GB/s");
   EmitBenchResult("data_plane", "xor/" + std::string(XorBytesImplName()), "throughput", simd,
                   "GB/s");
+}
+
+double Crc32GigabytesPerSec(uint32_t (*crc)(std::span<const uint8_t>), int iters) {
+  PageBuffer page;
+  FillPattern(page.span(), 3);
+  uint32_t acc = 0;
+  const auto start = Clock::now();
+  for (int i = 0; i < iters; ++i) {
+    acc ^= crc(page.span());
+    page.data()[0] = static_cast<uint8_t>(acc);  // Chain the calls.
+  }
+  const double seconds = Seconds(Clock::now() - start);
+  volatile uint32_t sink = acc;
+  (void)sink;
+  return static_cast<double>(iters) * static_cast<double>(kPageSize) / seconds / 1e9;
+}
+
+void BenchCrc32(bool quick) {
+  const int iters = quick ? 5000 : 200000;
+  const double scalar = Crc32GigabytesPerSec(&Crc32Scalar, iters);
+  const double dispatched = Crc32GigabytesPerSec(&Crc32, iters);
+  const std::string impl(Crc32ImplName());
+  std::printf("crc32 scalar %7.2f GB/s\n", scalar);
+  std::printf("crc32 %-6s %7.2f GB/s   speedup %.2fx\n", impl.c_str(), dispatched,
+              dispatched / scalar);
+  EmitBenchResult("data_plane", "crc32/scalar", "throughput", scalar, "GB/s");
+  EmitBenchResult("data_plane", "crc32/" + impl, "throughput", dispatched, "GB/s");
 }
 
 // --- 2. Sharded vs single-mutex server --------------------------------------
@@ -363,6 +393,7 @@ int Main(int argc, char** argv) {
     }
   }
   BenchXor(quick);
+  BenchCrc32(quick);
   BenchServerStore(quick);
   BenchBatchedPageouts(quick);
   BenchCompressedTier(quick);

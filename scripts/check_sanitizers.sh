@@ -41,7 +41,12 @@ sanitizers=("${@:-address}")
 # threads while pollers drain them over the wire — TSan territory — and the
 # introspection-reply fuzz sweeps plus the live rmptop demo (real TCP, traffic
 # thread) are where ASan would catch a payload view escaping its frame.
-label="${RMP_SMOKE_LABEL:-faults_smoke|repair_smoke|metrics_smoke|reactor_smoke|compress_smoke|tenant_smoke|membership_smoke|obs_smoke}"
+# store_smoke covers the per-page store primitives: the PCLMULQDQ CRC-32
+# kernel's unaligned 16-byte loads and tail hand-off (checksum_test sweeps
+# every length and offset across them) and the shared coalescing free-run
+# list behind memory-server slots and disk blocks, which the concurrent
+# churn suite drives from many threads at once.
+label="${RMP_SMOKE_LABEL:-faults_smoke|repair_smoke|metrics_smoke|reactor_smoke|compress_smoke|tenant_smoke|membership_smoke|obs_smoke|store_smoke}"
 
 for sanitizer in "${sanitizers[@]}"; do
   build_dir="${repo_root}/build-${sanitizer}san"

@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -124,38 +123,18 @@ Result<uint64_t> DiskStore::Allocate(uint64_t count) {
     return start;
   }
   // Fall back to a first-fit scan of freed runs.
-  for (auto it = free_runs_.begin(); it != free_runs_.end(); ++it) {
-    if (it->second >= count) {
-      const uint64_t start = it->first;
-      it->first += count;
-      it->second -= count;
-      if (it->second == 0) {
-        free_runs_.erase(it);
-      }
-      allocated_ += count;
-      return start;
-    }
+  if (const auto reused = free_runs_.TakeFirstFit(count)) {
+    allocated_ += count;
+    return *reused;
   }
   return NoSpaceError("swap partition full");
 }
 
 Status DiskStore::Free(uint64_t block, uint64_t count) {
-  if (count == 0 || block + count > blocks_) {
+  if (count == 0 || block >= bump_ || count > bump_ - block) {
     return InvalidArgumentError("bad free range");
   }
-  allocated_ -= std::min(allocated_, count);
-  free_runs_.emplace_back(block, count);
-  std::sort(free_runs_.begin(), free_runs_.end());
-  // Coalesce adjacent runs.
-  std::vector<std::pair<uint64_t, uint64_t>> merged;
-  for (const auto& run : free_runs_) {
-    if (!merged.empty() && merged.back().first + merged.back().second == run.first) {
-      merged.back().second += run.second;
-    } else {
-      merged.push_back(run);
-    }
-  }
-  free_runs_ = std::move(merged);
+  allocated_ -= free_runs_.Insert(block, count);
   return OkStatus();
 }
 

@@ -9,8 +9,8 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
 
+#include "src/util/free_runs.h"
 #include "src/util/status.h"
 #include "src/util/units.h"
 
@@ -36,8 +36,10 @@ class DiskStore {
 
   // Slot allocation: returns the first block of a contiguous run of `count`
   // slots. Allocation is bump-first (mimicking a swap partition filling in
-  // pageout order) with a free list for reuse.
+  // pageout order) with a first-fit free list for reuse.
   Result<uint64_t> Allocate(uint64_t count);
+  // Returns a run below the bump pointer to the free list. Blocks that are
+  // already free stay free and are not debited again.
   Status Free(uint64_t block, uint64_t count);
 
   uint64_t blocks() const { return blocks_; }
@@ -50,8 +52,7 @@ class DiskStore {
   uint64_t blocks_ = 0;
   uint64_t bump_ = 0;       // Next never-used block.
   uint64_t allocated_ = 0;  // Currently live blocks.
-  // Free runs as (start, count), kept sorted and coalesced.
-  std::vector<std::pair<uint64_t, uint64_t>> free_runs_;
+  FreeRunList free_runs_;  // Freed blocks below bump_, coalesced.
 };
 
 }  // namespace rmp

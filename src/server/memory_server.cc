@@ -757,22 +757,11 @@ Result<uint64_t> MemoryServer::Allocate(uint64_t pages, uint16_t tenant) {
   }
   stats_.allocations.fetch_add(1, std::memory_order_relaxed);
   reserved_slots_ += pages;
-  uint64_t start = 0;
-  bool reused = false;
   // Reuse freed slot runs first so long-lived servers do not leak slot space.
-  for (auto it = free_runs_.begin(); it != free_runs_.end(); ++it) {
-    if (it->second >= pages) {
-      start = it->first;
-      it->first += pages;
-      it->second -= pages;
-      if (it->second == 0) {
-        free_runs_.erase(it);
-      }
-      reused = true;
-      break;
-    }
-  }
-  if (!reused) {
+  uint64_t start = 0;
+  if (const auto reused = free_runs_.TakeFirstFit(pages)) {
+    start = *reused;
+  } else {
     start = next_slot_.load(std::memory_order_relaxed);
     next_slot_.store(start + pages, std::memory_order_release);
   }
@@ -789,7 +778,10 @@ Status MemoryServer::Free(uint64_t first_slot, uint64_t pages, uint16_t tenant) 
   if (crashed()) {
     return UnavailableError(params_.name + " crashed");
   }
-  if (pages == 0 || first_slot + pages > next_slot_.load(std::memory_order_relaxed)) {
+  // The range comes off the wire: compare without forming first_slot + pages,
+  // which could wrap past the end of the slot space.
+  const uint64_t slot_limit = next_slot_.load(std::memory_order_relaxed);
+  if (pages == 0 || first_slot >= slot_limit || pages > slot_limit - first_slot) {
     return InvalidArgumentError("bad free range");
   }
   if (tenant_enforced_ && tenant != 0) {
@@ -825,9 +817,9 @@ Status MemoryServer::Free(uint64_t first_slot, uint64_t pages, uint16_t tenant) 
       shard.pages.erase(it);
     }
   }
-  reserved_slots_ -= std::min(reserved_slots_, pages);
-  free_runs_.emplace_back(first_slot, pages);
-  std::sort(free_runs_.begin(), free_runs_.end());
+  // Only slots that were still granted give capacity back, so a repeated
+  // free of the same range cannot over-credit the server.
+  reserved_slots_ -= free_runs_.Insert(first_slot, pages);
   if (tenant_enforced_) {
     ReleaseTenantRunsLocked(first_slot, pages);
   }
@@ -1145,7 +1137,7 @@ void MemoryServer::Crash() {
   crashed_.store(true, std::memory_order_release);
   {
     std::lock_guard<std::mutex> lock(control_mutex_);
-    free_runs_.clear();
+    free_runs_.Clear();
     reserved_slots_ = 0;
     next_slot_.store(0, std::memory_order_release);
     tenant_runs_.clear();

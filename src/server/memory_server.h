@@ -55,6 +55,7 @@
 #include "src/util/bytes.h"
 #include "src/util/config.h"
 #include "src/util/events.h"
+#include "src/util/free_runs.h"
 #include "src/util/metrics.h"
 #include "src/util/status.h"
 #include "src/util/token_bucket.h"
@@ -494,7 +495,7 @@ class MemoryServer : public MessageHandler {
   // Allocation bookkeeping; taken before any shard mutex, never after.
   mutable std::mutex control_mutex_;
   uint64_t reserved_slots_ = 0;  // Allocated (granted) but possibly unwritten.
-  std::vector<std::pair<uint64_t, uint64_t>> free_runs_;
+  FreeRunList free_runs_;  // Freed slots below next_slot_, coalesced.
   // Slot-run ownership when tenants are enforced: start → (pages, tenant).
   // Lets Free/MIGRATE credit the right quota and reject cross-tenant frees.
   std::map<uint64_t, std::pair<uint64_t, uint16_t>> tenant_runs_;

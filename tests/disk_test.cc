@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "src/disk/disk_backend.h"
 #include "src/disk/disk_model.h"
 #include "src/disk/disk_store.h"
@@ -140,6 +143,82 @@ TEST(DiskStoreTest, AdjacentFreesCoalesce) {
   auto run = store->Allocate(4);
   ASSERT_TRUE(run.ok());
   EXPECT_EQ(*run, 0u);
+}
+
+TEST(DiskStoreTest, DoubleFreeDebitsOnceAndNeverRegrantsABlockTwice) {
+  auto store = DiskStore::Create(8);
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE(store->Allocate(8).ok());
+  ASSERT_TRUE(store->Free(0, 2).ok());
+  ASSERT_TRUE(store->Free(0, 2).ok());  // Repeated: frees nothing new.
+  ASSERT_TRUE(store->Free(4, 2).ok());
+  EXPECT_EQ(store->allocated_blocks(), 4u);
+  auto x = store->Allocate(2);
+  auto y = store->Allocate(2);
+  ASSERT_TRUE(x.ok());
+  ASSERT_TRUE(y.ok());
+  EXPECT_EQ(*x, 0u);
+  EXPECT_EQ(*y, 4u);
+  EXPECT_EQ(store->allocated_blocks(), 8u);
+  EXPECT_EQ(store->Allocate(1).status().code(), ErrorCode::kNoSpace);
+}
+
+TEST(DiskStoreTest, FreeBeyondBumpPointerRejected) {
+  auto store = DiskStore::Create(8);
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE(store->Allocate(4).ok());
+  // Never-granted blocks are already free; listing them would grant them twice.
+  EXPECT_EQ(store->Free(3, 2).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(store->Free(~uint64_t{0} - 1, 4).code(), ErrorCode::kInvalidArgument);  // Wraps.
+  EXPECT_EQ(store->allocated_blocks(), 4u);
+}
+
+TEST(DiskStoreTest, ScatteredFreesCoalesceSoTheExtentIsReusedWhole) {
+  auto store = DiskStore::Create(16);
+  ASSERT_TRUE(store.ok());
+  auto extent = store->Allocate(16);
+  ASSERT_TRUE(extent.ok());
+  for (uint64_t i = 0; i < 16; ++i) {
+    ASSERT_TRUE(store->Free(*extent + (i * 7) % 16, 1).ok());
+  }
+  EXPECT_EQ(store->allocated_blocks(), 0u);
+  auto again = store->Allocate(16);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, *extent);
+}
+
+// Frees into a 16-block extent, and the one free run they must leave behind.
+struct FreeRunCase {
+  const char* name;
+  std::vector<std::pair<uint64_t, uint64_t>> frees;
+  uint64_t run_start;
+  uint64_t run_length;
+};
+
+const FreeRunCase kFreeRunCases[] = {
+    {"inside a run", {{4, 4}, {5, 2}}, 4, 4},
+    {"at the left edge", {{4, 4}, {3, 1}}, 3, 5},
+    {"at the right edge", {{4, 4}, {8, 2}}, 4, 6},
+    {"over both edges", {{4, 4}, {2, 8}}, 2, 8},
+    {"bridging two runs", {{2, 3}, {9, 3}, {5, 4}}, 2, 10},
+};
+
+TEST(DiskStoreTest, FreesMergeIntoTheExpectedRun) {
+  for (const FreeRunCase& c : kFreeRunCases) {
+    SCOPED_TRACE(c.name);
+    auto store = DiskStore::Create(16);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE(store->Allocate(16).ok());
+    for (const auto& [block, count] : c.frees) {
+      ASSERT_TRUE(store->Free(block, count).ok());
+    }
+    EXPECT_EQ(store->allocated_blocks(), 16u - c.run_length);
+    // The whole run is one first fit, and nothing else was freed.
+    auto run = store->Allocate(c.run_length);
+    ASSERT_TRUE(run.ok());
+    EXPECT_EQ(*run, c.run_start);
+    EXPECT_EQ(store->Allocate(1).status().code(), ErrorCode::kNoSpace);
+  }
 }
 
 TEST(DiskStoreTest, MoveTransfersOwnership) {

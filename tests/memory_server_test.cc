@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 namespace rmp {
 namespace {
 
@@ -80,6 +83,92 @@ TEST(MemoryServerTest, FreeReleasesCapacityAndPages) {
   auto again = server.Allocate(8);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(*again, *slot);
+}
+
+TEST(MemoryServerTest, DoubleFreeCreditsOnceAndNeverRegrantsASlotTwice) {
+  MemoryServer server(SmallServer(64));
+  auto a = server.Allocate(4);
+  auto b = server.Allocate(4);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  ASSERT_TRUE(server.Allocate(8).ok());
+  const uint64_t free_before = server.free_pages();
+  ASSERT_TRUE(server.Free(*a, 4).ok());
+  ASSERT_TRUE(server.Free(*a, 4).ok());  // Repeated: frees nothing new.
+  EXPECT_EQ(server.free_pages(), free_before + 4);
+  auto x = server.Allocate(4);
+  auto y = server.Allocate(4);
+  ASSERT_TRUE(x.ok());
+  ASSERT_TRUE(y.ok());
+  EXPECT_EQ(*x, *a);
+  EXPECT_TRUE(*y + 4 <= *x || *x + 4 <= *y) << "x=" << *x << " y=" << *y;
+  EXPECT_EQ(server.free_pages(), free_before - 4);
+}
+
+TEST(MemoryServerTest, FreeRangeThatWrapsIsRejected) {
+  MemoryServer server(SmallServer(64));
+  ASSERT_TRUE(server.Allocate(4).ok());
+  // first_slot + pages wraps to 2, inside the granted slots.
+  EXPECT_EQ(server.Free(~uint64_t{0} - 1, 4).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(server.free_pages(), 60u);
+  auto next = server.Allocate(4);
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(*next, 4u);
+}
+
+TEST(MemoryServerTest, ScatteredFreesCoalesceSoTheExtentIsReusedWhole) {
+  MemoryServer server(SmallServer(64));
+  auto extent = server.Allocate(16);
+  ASSERT_TRUE(extent.ok());
+  auto cap = server.Allocate(1);  // Keeps the extent off the bump pointer.
+  ASSERT_TRUE(cap.ok());
+  for (uint64_t i = 0; i < 16; ++i) {
+    ASSERT_TRUE(server.Free(*extent + (i * 7) % 16, 1).ok());
+  }
+  EXPECT_EQ(server.free_pages(), 63u);
+  // Reused from the merged run, not carved from fresh slots above the cap.
+  auto again = server.Allocate(16);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, *extent);
+  EXPECT_EQ(*server.Allocate(1), *cap + 1);
+}
+
+// Frees into a 16-slot extent (offsets relative to its start), and the one
+// free run they must leave behind.
+struct FreeRunCase {
+  const char* name;
+  std::vector<std::pair<uint64_t, uint64_t>> frees;
+  uint64_t run_start;
+  uint64_t run_length;
+};
+
+const FreeRunCase kFreeRunCases[] = {
+    {"inside a run", {{4, 4}, {5, 2}}, 4, 4},
+    {"at the left edge", {{4, 4}, {3, 1}}, 3, 5},
+    {"at the right edge", {{4, 4}, {8, 2}}, 4, 6},
+    {"over both edges", {{4, 4}, {2, 8}}, 2, 8},
+    {"bridging two runs", {{2, 3}, {9, 3}, {5, 4}}, 2, 10},
+};
+
+TEST(MemoryServerTest, FreesMergeIntoTheExpectedRun) {
+  for (const FreeRunCase& c : kFreeRunCases) {
+    SCOPED_TRACE(c.name);
+    MemoryServer server(SmallServer(64));
+    auto extent = server.Allocate(16);
+    ASSERT_TRUE(extent.ok());
+    auto cap = server.Allocate(1);
+    ASSERT_TRUE(cap.ok());
+    for (const auto& [offset, pages] : c.frees) {
+      ASSERT_TRUE(server.Free(*extent + offset, pages).ok());
+    }
+    EXPECT_EQ(server.free_pages(), 64u - 17u + c.run_length);
+    // The whole run is one first fit...
+    auto run = server.Allocate(c.run_length);
+    ASSERT_TRUE(run.ok());
+    EXPECT_EQ(*run, *extent + c.run_start);
+    // ...and nothing else was freed: the next slot comes off the bump pointer.
+    EXPECT_EQ(*server.Allocate(1), *cap + 1);
+  }
 }
 
 TEST(MemoryServerTest, AdviseStopNearCapacity) {
