@@ -59,66 +59,11 @@ constexpr int kMaxPollEvents = 128;
 // Level-triggered read rounds per event; the poll re-fires for the rest, so
 // one flooding connection cannot monopolize its loop.
 constexpr int kLevelTriggeredReadRounds = 4;
+// Size of each loop's recv scratch (EventLoop::read_scratch_).
+constexpr size_t kReadScratchBytes = 64 * 1024;
 constexpr int kAcceptsPerEvent = 64;
 
-class EpollBackend final : public PollBackend {
- public:
-  static std::unique_ptr<PollBackend> Create() {
-    UniqueFd fd(::epoll_create1(0));
-    if (!fd.valid()) {
-      return nullptr;
-    }
-    return std::unique_ptr<PollBackend>(new EpollBackend(std::move(fd)));
-  }
-
-  const char* name() const override { return "epoll"; }
-
-  Status Add(int fd, uint32_t events) override { return Ctl(EPOLL_CTL_ADD, fd, events); }
-  Status Mod(int fd, uint32_t events) override { return Ctl(EPOLL_CTL_MOD, fd, events); }
-  void Del(int fd) override {
-    epoll_event ev{};
-    ::epoll_ctl(epfd_.get(), EPOLL_CTL_DEL, fd, &ev);
-  }
-
-  int Wait(PollEvent* out, int max) override {
-    epoll_event events[kMaxPollEvents];
-    const int cap = max < kMaxPollEvents ? max : kMaxPollEvents;
-    const int n = ::epoll_wait(epfd_.get(), events, cap, -1);
-    if (n < 0) {
-      return errno == EINTR ? 0 : -1;
-    }
-    for (int i = 0; i < n; ++i) {
-      out[i].fd = events[i].data.fd;
-      out[i].events = events[i].events;
-    }
-    return n;
-  }
-
- private:
-  explicit EpollBackend(UniqueFd fd) : epfd_(std::move(fd)) {}
-
-  Status Ctl(int op, int fd, uint32_t events) {
-    epoll_event ev{};
-    ev.events = events;
-    ev.data.fd = fd;
-    if (::epoll_ctl(epfd_.get(), op, fd, &ev) != 0) {
-      return ErrnoError("epoll_ctl");
-    }
-    return OkStatus();
-  }
-
-  UniqueFd epfd_;
-};
-
 }  // namespace
-
-std::unique_ptr<PollBackend> MakeEpollBackend() { return EpollBackend::Create(); }
-
-#ifndef RMP_IO_URING
-// Built without the io_uring backend (see reactor_uring.cc): always fall
-// back to epoll.
-std::unique_ptr<PollBackend> MakeIoUringBackend() { return nullptr; }
-#endif
 
 // --- UniqueFd ---------------------------------------------------------------
 
@@ -154,16 +99,6 @@ Result<ReactorOptions> ReactorOptions::FromConfig(const Config& config) {
     return InvalidArgumentError("reactor.loop_threads out of range [1, 64]");
   }
   options.loop_threads = static_cast<int>(*loops);
-  auto edge = config.GetBool("reactor.edge_triggered", options.edge_triggered);
-  if (!edge.ok()) {
-    return edge.status();
-  }
-  options.edge_triggered = *edge;
-  auto uring = config.GetBool("reactor.io_uring", options.use_io_uring);
-  if (!uring.ok()) {
-    return uring.status();
-  }
-  options.use_io_uring = *uring;
   auto sndbuf_kb = config.GetInt("reactor.sndbuf_kb", options.sndbuf_bytes / 1024);
   if (!sndbuf_kb.ok()) {
     return sndbuf_kb.status();
@@ -173,53 +108,6 @@ Result<ReactorOptions> ReactorOptions::FromConfig(const Config& config) {
   }
   options.sndbuf_bytes = static_cast<int>(*sndbuf_kb) * 1024;
   return options;
-}
-
-// --- BufferPool -------------------------------------------------------------
-
-BufferPool::BufferPool(size_t buffer_bytes, size_t max_pooled)
-    : buffer_bytes_(buffer_bytes), max_pooled_(max_pooled) {}
-
-BufferPool::Lease& BufferPool::Lease::operator=(Lease&& other) noexcept {
-  if (this != &other) {
-    Release();
-    pool_ = other.pool_;
-    data_ = std::move(other.data_);
-    other.pool_ = nullptr;
-  }
-  return *this;
-}
-
-void BufferPool::Lease::Release() {
-  if (pool_ != nullptr && data_ != nullptr) {
-    pool_->Release(std::move(data_));
-  }
-  pool_ = nullptr;
-}
-
-BufferPool::Lease BufferPool::Acquire() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!free_.empty()) {
-      auto buffer = std::move(free_.back());
-      free_.pop_back();
-      return Lease(this, std::move(buffer));
-    }
-  }
-  created_.fetch_add(1, std::memory_order_relaxed);
-  return Lease(this, std::make_unique<uint8_t[]>(buffer_bytes_));
-}
-
-void BufferPool::Release(std::unique_ptr<uint8_t[]> buffer) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (free_.size() < max_pooled_) {
-    free_.push_back(std::move(buffer));
-  }
-}
-
-size_t BufferPool::pooled() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return free_.size();
 }
 
 // --- ReactorConnection ------------------------------------------------------
@@ -412,11 +300,7 @@ void ReactorConnection::ArmWriteOnLoop() {
   if (closed_on_loop_ || !in_poll_) {
     return;
   }
-  uint32_t events = EPOLLIN | EPOLLOUT;
-  if (loop_->options_.edge_triggered) {
-    events |= EPOLLET;
-  }
-  Status status = loop_->backend_->Mod(fd_.get(), events);
+  Status status = loop_->Ctl(EPOLL_CTL_MOD, fd_.get(), EPOLLIN | EPOLLOUT);
   if (!status.ok()) {
     CloseOnLoop(status);
   }
@@ -437,11 +321,7 @@ void ReactorConnection::HandleWritable() {
   }
   // Disarm EPOLLOUT before flushing: level-triggered OUT on a writable
   // socket would spin the loop otherwise. A renewed EAGAIN re-arms it.
-  uint32_t events = EPOLLIN;
-  if (loop_->options_.edge_triggered) {
-    events |= EPOLLET;
-  }
-  Status status = loop_->backend_->Mod(fd_.get(), events);
+  Status status = loop_->Ctl(EPOLL_CTL_MOD, fd_.get(), EPOLLIN);
   if (!status.ok()) {
     if (take) {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -456,13 +336,12 @@ void ReactorConnection::HandleWritable() {
 }
 
 void ReactorConnection::HandleReadable() {
-  BufferPool::Lease lease = loop_->pool_->Acquire();
-  const int rounds = loop_->options_.edge_triggered ? INT32_MAX : kLevelTriggeredReadRounds;
-  for (int round = 0; round < rounds; ++round) {
-    const ssize_t n = ::recv(fd_.get(), lease.data(), lease.size(), 0);
+  uint8_t* scratch = loop_->read_scratch_.get();
+  for (int round = 0; round < kLevelTriggeredReadRounds; ++round) {
+    const ssize_t n = ::recv(fd_.get(), scratch, kReadScratchBytes, 0);
     if (n > 0) {
       Metrics().bytes_received.Increment(n);
-      std::span<const uint8_t> chunk(lease.data(), static_cast<size_t>(n));
+      std::span<const uint8_t> chunk(scratch, static_cast<size_t>(n));
       // Resume a partial frame through the buffering FrameReader first; its
       // hostile-length check (payload_len bound before any buffering) is the
       // wire-safety gate for the slow path.
@@ -518,7 +397,7 @@ void ReactorConnection::HandleReadable() {
       if (!chunk.empty()) {
         reader_.Feed(chunk);
       }
-      if (static_cast<size_t>(n) < lease.size() && !loop_->options_.edge_triggered) {
+      if (static_cast<size_t>(n) < kReadScratchBytes) {
         return;  // Likely drained; level-triggered poll re-fires otherwise.
       }
       continue;
@@ -559,7 +438,7 @@ void ReactorConnection::CloseOnLoop(const Status& reason) {
   }
   queued_frames_.fetch_sub(dropped.size(), std::memory_order_relaxed);
   if (in_poll_) {
-    loop_->backend_->Del(fd_.get());
+    (void)loop_->Ctl(EPOLL_CTL_DEL, fd_.get(), 0);
     in_poll_ = false;
   }
   loop_->conns_.erase(fd_.get());
@@ -578,38 +457,40 @@ void ReactorConnection::CloseOnLoop(const Status& reason) {
 
 // --- EventLoop --------------------------------------------------------------
 
-EventLoop::EventLoop(int index, const ReactorOptions& options, BufferPool* pool,
-                     const std::string& metric_prefix)
+EventLoop::EventLoop(int index, const std::string& metric_prefix)
     : index_(index),
-      options_(options),
-      pool_(pool),
+      read_scratch_(std::make_unique<uint8_t[]>(kReadScratchBytes)),
       ready_events_gauge_(*MetricsRegistry::Global().GetGauge(
           metric_prefix + ".loop" + std::to_string(index) + ".ready_events")),
       dispatches_(*MetricsRegistry::Global().GetCounter(
-          metric_prefix + ".loop" + std::to_string(index) + ".dispatches")) {
-  if (options_.use_io_uring) {
-    backend_ = MakeIoUringBackend();
-  }
-  if (backend_ == nullptr) {
-    backend_ = MakeEpollBackend();
-  }
-}
+          metric_prefix + ".loop" + std::to_string(index) + ".dispatches")) {}
 
 EventLoop::~EventLoop() { StopAndJoin(); }
 
 Status EventLoop::Start() {
-  if (backend_ == nullptr) {
-    return InternalError("no poll backend available");
+  epoll_fd_.Reset(::epoll_create1(EPOLL_CLOEXEC));
+  if (!epoll_fd_.valid()) {
+    return ErrnoError("epoll_create1");
   }
   wakeup_fd_.Reset(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC));
   if (!wakeup_fd_.valid()) {
     return ErrnoError("eventfd");
   }
-  Status status = backend_->Add(wakeup_fd_.get(), EPOLLIN);
+  Status status = Ctl(EPOLL_CTL_ADD, wakeup_fd_.get(), EPOLLIN);
   if (!status.ok()) {
     return status;
   }
   thread_ = std::thread([this] { Run(); });
+  return OkStatus();
+}
+
+Status EventLoop::Ctl(int op, int fd, uint32_t events) {
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.fd = fd;
+  if (::epoll_ctl(epoll_fd_.get(), op, fd, &ev) != 0) {
+    return ErrnoError("epoll_ctl");
+  }
   return OkStatus();
 }
 
@@ -675,41 +556,46 @@ void EventLoop::CloseAllOnLoop() {
 }
 
 void EventLoop::Run() {
-  PollEvent events[kMaxPollEvents];
+  epoll_event events[kMaxPollEvents];
   while (running_) {
-    const int n = backend_->Wait(events, kMaxPollEvents);
+    const int n = ::epoll_wait(epoll_fd_.get(), events, kMaxPollEvents, -1);
     if (n < 0) {
-      RMP_LOG(kWarning) << "poll backend failed on loop " << index_ << "; loop exiting";
+      if (errno == EINTR) {
+        continue;
+      }
+      RMP_LOG(kWarning) << "epoll_wait failed on loop " << index_ << ": "
+                        << std::strerror(errno) << "; loop exiting";
       break;
     }
     ready_events_gauge_.Set(n);
     for (int i = 0; i < n && running_; ++i) {
-      const PollEvent& event = events[i];
+      const int fd = events[i].data.fd;
+      const uint32_t ready = events[i].events;
       dispatches_.Increment();
-      if (event.fd == wakeup_fd_.get()) {
+      if (fd == wakeup_fd_.get()) {
         uint64_t drained = 0;
         [[maybe_unused]] ssize_t r = ::read(wakeup_fd_.get(), &drained, sizeof(drained));
         RunTasks();
         continue;
       }
-      auto listener_it = listeners_.find(event.fd);
+      auto listener_it = listeners_.find(fd);
       if (listener_it != listeners_.end()) {
         AcceptReady(&listener_it->second);
         continue;
       }
-      auto it = conns_.find(event.fd);
+      auto it = conns_.find(fd);
       if (it == conns_.end()) {
         continue;  // Closed earlier in this batch.
       }
       std::shared_ptr<ReactorConnection> conn = it->second;
-      if ((event.events & EPOLLERR) != 0) {
+      if ((ready & EPOLLERR) != 0) {
         conn->CloseOnLoop(IoError("socket error"));
         continue;
       }
-      if ((event.events & (EPOLLIN | EPOLLHUP | EPOLLRDHUP)) != 0) {
+      if ((ready & (EPOLLIN | EPOLLHUP | EPOLLRDHUP)) != 0) {
         conn->HandleReadable();
       }
-      if ((event.events & EPOLLOUT) != 0) {
+      if ((ready & EPOLLOUT) != 0) {
         conn->HandleWritable();
       }
     }
@@ -742,14 +628,12 @@ std::string AutoPrefix(const std::string& requested) {
 }
 }  // namespace
 
-Reactor::Reactor(ReactorOptions options, std::string metric_prefix)
-    : options_(options),
-      pool_(options.read_chunk_bytes, options.pooled_read_buffers) {
+Reactor::Reactor(ReactorOptions options, std::string metric_prefix) : options_(options) {
   const std::string prefix = AutoPrefix(metric_prefix);
   const int loops = options_.loop_threads < 1 ? 1 : options_.loop_threads;
   loops_.reserve(static_cast<size_t>(loops));
   for (int i = 0; i < loops; ++i) {
-    loops_.push_back(std::make_unique<EventLoop>(i, options_, &pool_, prefix));
+    loops_.push_back(std::make_unique<EventLoop>(i, prefix));
     Status started = loops_.back()->Start();
     if (!started.ok()) {
       RMP_LOG(kError) << "event loop " << i << " failed to start: " << started.ToString();
@@ -759,7 +643,7 @@ Reactor::Reactor(ReactorOptions options, std::string metric_prefix)
   if (loops_.empty()) {
     // Keep the invariant that at least one loop exists; a loop whose Start
     // failed still drops posted tasks safely.
-    loops_.push_back(std::make_unique<EventLoop>(0, options_, &pool_, prefix));
+    loops_.push_back(std::make_unique<EventLoop>(0, prefix));
     (void)loops_.back()->Start();
   }
 }
@@ -806,11 +690,7 @@ std::shared_ptr<ReactorConnection> Reactor::Register(UniqueFd fd,
     loop->conns_[fd] = conn;
     Metrics().connections.Add(1);
     conn->sink_->OnOpen(conn);
-    uint32_t events = EPOLLIN;
-    if (loop->options_.edge_triggered) {
-      events |= EPOLLET;
-    }
-    Status added = loop->backend_->Add(fd, events);
+    Status added = loop->Ctl(EPOLL_CTL_ADD, fd, EPOLLIN);
     if (!added.ok()) {
       conn->CloseOnLoop(added);
       return;
@@ -836,7 +716,7 @@ Status Reactor::AddListener(UniqueFd listen_fd, std::function<void(UniqueFd)> on
     EventLoop::Listener listener;
     listener.fd = std::move(*listen_fd);
     listener.on_accept = std::move(on_accept);
-    Status added = loop->backend_->Add(fd, EPOLLIN);
+    Status added = loop->Ctl(EPOLL_CTL_ADD, fd, EPOLLIN);
     if (!added.ok()) {
       RMP_LOG(kError) << "listener registration failed: " << added.ToString();
       return;

@@ -245,7 +245,6 @@ SubmitResult FairShareScheduler::SubmitEx(const std::shared_ptr<Session>& sessio
   const int lane_idx =
       static_cast<int>(request.slot % static_cast<uint64_t>(options_.lanes_per_session));
   item.lane = lane_idx;
-  item.session = session;
   const TrafficClass klass = ClassifyMessage(request.type);
   item.request = std::move(request);
   {
@@ -405,6 +404,7 @@ bool FairShareScheduler::DispatchLocked(Item* out) {
     *out = std::move(lane.queue.front());
     lane.queue.pop_front();
     lane.running = true;
+    out->session = std::move(entry.session);
     queued_gauge_.Add(-1);
     served_[c]->Increment();
     dispatch_latency_us_.Observe(static_cast<double>(NowNanos() - out->enqueue_ns) / 1000.0);

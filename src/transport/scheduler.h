@@ -109,6 +109,8 @@ class FairShareScheduler {
 
   struct Item {
     Message request;
+    // Set at dispatch only: a queued item naming its own session would be a
+    // Session → Lane → Item → Session cycle that outlives the scheduler.
     std::shared_ptr<Session> session;
     // Copy of the session's owner backref, taken under the scheduler lock at
     // Submit so workers can use it without racing RemoveSession's reset.

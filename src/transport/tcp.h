@@ -161,8 +161,6 @@ class TcpServer {
 
   // Scheduler introspection (per-class served counts in tests).
   const FairShareScheduler& scheduler() const { return *scheduler_; }
-  // Poll backend actually selected at runtime ("epoll" or "io_uring").
-  const char* backend_name() const { return reactor_->backend_name(); }
 
   // Stops accepting, closes every session, joins the loop and worker
   // threads. Idempotent.

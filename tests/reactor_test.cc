@@ -13,6 +13,7 @@
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <arpa/inet.h>
 #include <unistd.h>
 
@@ -31,6 +32,7 @@
 #include <vector>
 
 #include "src/server/memory_server.h"
+#include "src/transport/reactor.h"
 #include "src/transport/scheduler.h"
 #include "src/transport/tcp.h"
 #include "src/util/bytes.h"
@@ -269,6 +271,137 @@ TEST(FairShareScheduler, TenantQueueCapBoundsOneTenantsBacklog) {
   EXPECT_EQ(scheduler.SubmitEx(hog, MakePageIn(7, 7)), SubmitResult::kOk);
 }
 
+// A scheduler torn down with work still queued must free the sessions that
+// work belongs to: queued items may not keep their own session alive.
+TEST(FairShareScheduler, DestroyedWithQueuedWorkReleasesSessions) {
+  std::weak_ptr<FairShareScheduler::Session> watch;
+  {
+    FairShareScheduler scheduler(SchedulerOptions{}, "schedtest_teardown");
+    auto session = scheduler.AddSession(nullptr, /*tenant=*/1);
+    watch = session;
+    for (uint64_t id = 1; id <= 4; ++id) {
+      ASSERT_TRUE(scheduler.Submit(session, MakePageIn(id, id)));
+    }
+  }
+  EXPECT_TRUE(watch.expired());
+}
+
+// --- ReactorOptions and EventLoop ---------------------------------------------
+
+TEST(ReactorOptions, FromConfigDefaultsWithoutKeys) {
+  auto options = ReactorOptions::FromConfig(Config());
+  ASSERT_TRUE(options.ok()) << options.status().ToString();
+  EXPECT_EQ(options->loop_threads, ReactorOptions().loop_threads);
+  EXPECT_EQ(options->sndbuf_bytes, ReactorOptions().sndbuf_bytes);
+}
+
+TEST(ReactorOptions, FromConfigReadsLoopThreadsAndSndbufKb) {
+  auto config = Config::Parse("reactor.loop_threads = 3\nreactor.sndbuf_kb = 0\n");
+  ASSERT_TRUE(config.ok());
+  auto options = ReactorOptions::FromConfig(*config);
+  ASSERT_TRUE(options.ok()) << options.status().ToString();
+  EXPECT_EQ(options->loop_threads, 3);
+  EXPECT_EQ(options->sndbuf_bytes, 0);
+
+  config = Config::Parse("reactor.sndbuf_kb = 512\n");
+  ASSERT_TRUE(config.ok());
+  options = ReactorOptions::FromConfig(*config);
+  ASSERT_TRUE(options.ok()) << options.status().ToString();
+  EXPECT_EQ(options->sndbuf_bytes, 512 * 1024);
+}
+
+TEST(ReactorOptions, FromConfigRejectsOutOfRangeAndMalformedValues) {
+  for (const char* text : {"reactor.loop_threads = 0\n", "reactor.loop_threads = 65\n",
+                           "reactor.loop_threads = two\n", "reactor.sndbuf_kb = -1\n",
+                           "reactor.sndbuf_kb = 65537\n"}) {
+    auto config = Config::Parse(text);
+    ASSERT_TRUE(config.ok()) << text;
+    EXPECT_FALSE(ReactorOptions::FromConfig(*config).ok()) << text;
+  }
+}
+
+// Posted tasks run on the loop thread in the order they were posted, and a
+// task posted after StopAndJoin is dropped rather than run.
+TEST(EventLoop, PostedTasksRunInOrderOnTheLoopThread) {
+  EventLoop loop(0, "looptest_order");
+  ASSERT_TRUE(loop.Start().ok());
+  std::mutex mutex;
+  std::vector<int> order;
+  std::atomic<int> off_loop{0};
+  std::atomic<int> done{0};
+  constexpr int kTasks = 1000;
+  for (int i = 0; i < kTasks; ++i) {
+    loop.Post([&, i] {
+      if (!loop.IsLoopThread()) {
+        off_loop.fetch_add(1);
+      }
+      std::lock_guard<std::mutex> lock(mutex);
+      order.push_back(i);
+      done.fetch_add(1);
+    });
+  }
+  const auto deadline = Clock::now() + std::chrono::seconds(10);
+  while (done.load() < kTasks && Clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  loop.StopAndJoin();
+  loop.Post([&] { done.fetch_add(1); });
+  EXPECT_EQ(done.load(), kTasks);
+  EXPECT_EQ(off_loop.load(), 0);
+  std::lock_guard<std::mutex> lock(mutex);
+  ASSERT_EQ(order.size(), static_cast<size_t>(kTasks));
+  for (int i = 0; i < kTasks; ++i) {
+    EXPECT_EQ(order[i], i);
+  }
+}
+
+bool SendAll(int fd, const uint8_t* data, size_t len) {
+  while (len > 0) {
+    const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n <= 0) {
+      return false;
+    }
+    data += n;
+    len -= static_cast<size_t>(n);
+  }
+  return true;
+}
+
+bool RecvAll(int fd, uint8_t* data, size_t len) {
+  while (len > 0) {
+    const ssize_t n = ::recv(fd, data, len, 0);
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n <= 0) {
+      return false;
+    }
+    data += n;
+    len -= static_cast<size_t>(n);
+  }
+  return true;
+}
+
+// Reads one whole frame (prefix + payload) from a blocking socket.
+Result<Message> ReadFrame(int fd) {
+  std::vector<uint8_t> bytes(kWirePrefixSize);
+  if (!RecvAll(fd, bytes.data(), bytes.size())) {
+    return IoError("short read on frame prefix");
+  }
+  auto header = DecodeHeader(bytes);
+  if (!header.ok()) {
+    return header.status();
+  }
+  bytes.resize(kWirePrefixSize + header->payload_len);
+  if (!RecvAll(fd, bytes.data() + kWirePrefixSize, header->payload_len)) {
+    return IoError("short read on frame payload");
+  }
+  return Decode(bytes);
+}
+
 // --- TcpServer integration ---------------------------------------------------
 
 struct ForwardingHandler : MessageHandler {
@@ -298,6 +431,26 @@ class ReactorTcpTest : public ::testing::Test {
 
   Result<std::unique_ptr<TcpTransport>> Connect() {
     return TcpTransport::Connect("127.0.0.1", tcp_server_->port());
+  }
+
+  // A plain blocking socket to the server, for tests that control exactly
+  // how the bytes of a frame reach the wire.
+  int RawConnect() {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0) {
+      return -1;
+    }
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(tcp_server_->port());
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+      ::close(fd);
+      return -1;
+    }
+    return fd;
   }
 
   // Disconnect detection runs on the loop threads after the client's FIN, so
@@ -481,21 +634,150 @@ TEST_F(ReactorTcpTest, FirstTaggedFrameBindsOnOpenServers) {
   EXPECT_EQ(third->type, MessageType::kLoadReport);
 }
 
-#ifdef RMP_IO_URING
-// Compile-gated smoke: with the io_uring backend requested the transport must
-// still round-trip (falling back to epoll at runtime when the kernel or
-// rlimits refuse the ring).
-TEST_F(ReactorTcpTest, IoUringBackendRoundTrip) {
+// Every loop reads into one 64 KB scratch buffer shared by all of its
+// connections. Two clients on a single-loop server each move ~2 MB batch
+// frames, so every frame spans dozens of recv refills interleaved with the
+// other connection's; each page must still come back byte-exact.
+TEST_F(ReactorTcpTest, LargeFramesFromTwoClientsDecodeOnOneLoop) {
   TcpServerOptions options;
-  options.reactor.use_io_uring = true;
+  options.reactor.loop_threads = 1;
   StartServer(std::move(options));
-  auto client = Connect();
-  ASSERT_TRUE(client.ok()) << client.status().ToString();
-  auto reply = (*client)->Call(MakeLoadQuery(1));
-  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  EXPECT_EQ(reply->type, MessageType::kLoadReport);
+  constexpr int kClients = 2;
+  constexpr uint64_t kPages = kMaxBatchPages;
+  std::atomic<int> ready{0};
+  std::vector<std::string> failures(kClients);
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      auto fail = [&](const std::string& what) { failures[c] = what; };
+      auto client = Connect();
+      if (!client.ok()) {
+        return fail("connect: " + client.status().ToString());
+      }
+      auto alloc = (*client)->Call(MakeAllocRequest(1, kPages));
+      if (!alloc.ok() || alloc->status_code() != ErrorCode::kOk || alloc->count != kPages) {
+        return fail("alloc refused");
+      }
+      std::vector<uint64_t> slots;
+      std::vector<uint8_t> pages(kPages * kPageSize);
+      for (uint64_t i = 0; i < kPages; ++i) {
+        slots.push_back(alloc->slot + i);
+        FillPattern(std::span<uint8_t>(pages).subspan(i * kPageSize, kPageSize),
+                    1000 * static_cast<uint64_t>(c) + i);
+      }
+      ready.fetch_add(1);
+      while (ready.load() < kClients) {
+        std::this_thread::yield();
+      }
+      auto ack = (*client)->Call(MakePageOutBatch(2, slots, pages));
+      if (!ack.ok() || ack->status_code() != ErrorCode::kOk || ack->count != kPages) {
+        return fail("pageout batch failed");
+      }
+      auto reply = (*client)->Call(MakePageInBatch(3, slots));
+      if (!reply.ok() || reply->status_code() != ErrorCode::kOk || !ValidateBatch(*reply).ok()) {
+        return fail("pagein batch failed");
+      }
+      PageBuffer want;
+      for (uint64_t i = 0; i < kPages; ++i) {
+        FillPattern(want.span(), 1000 * static_cast<uint64_t>(c) + i);
+        const std::span<const uint8_t> got = BatchPage(*reply, i);
+        if (!std::equal(got.begin(), got.end(), want.span().begin(), want.span().end())) {
+          return fail("page " + std::to_string(i) + " differs");
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  for (int c = 0; c < kClients; ++c) {
+    EXPECT_EQ(failures[c], "") << "client " << c;
+  }
 }
-#endif  // RMP_IO_URING
+
+// A frame that trickles in one byte per segment is reassembled across as
+// many readable events as it has bytes, and still decodes byte-exact.
+TEST_F(ReactorTcpTest, FrameSentOneByteAtATimeDecodes) {
+  StartServer();
+  const int fd = RawConnect();
+  ASSERT_GE(fd, 0);
+  const std::vector<uint8_t> alloc = Encode(MakeAllocRequest(1, 1));
+  ASSERT_TRUE(SendAll(fd, alloc.data(), alloc.size()));
+  auto granted = ReadFrame(fd);
+  ASSERT_TRUE(granted.ok()) << granted.status().ToString();
+  ASSERT_EQ(granted->status_code(), ErrorCode::kOk);
+  const uint64_t slot = granted->slot;
+
+  PageBuffer page;
+  FillPattern(page.span(), 77);
+  const std::vector<uint8_t> pageout = Encode(MakePageOut(2, slot, page.span()));
+  for (size_t i = 0; i < pageout.size(); ++i) {
+    ASSERT_TRUE(SendAll(fd, &pageout[i], 1)) << "byte " << i;
+  }
+  auto ack = ReadFrame(fd);
+  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+  EXPECT_EQ(ack->status_code(), ErrorCode::kOk);
+
+  const std::vector<uint8_t> pagein = Encode(MakePageIn(3, slot));
+  ASSERT_TRUE(SendAll(fd, pagein.data(), pagein.size()));
+  auto reply = ReadFrame(fd);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_EQ(reply->status_code(), ErrorCode::kOk);
+  EXPECT_EQ(reply->payload, std::vector<uint8_t>(page.span().begin(), page.span().end()));
+  ::close(fd);
+}
+
+// A pipelined burst far larger than one readable event's bounded read pass
+// (kLevelTriggeredReadRounds scratch refills) is served in full: the loop
+// comes back for the bytes still queued instead of stranding them.
+TEST_F(ReactorTcpTest, PipelinedBurstBeyondOneReadPassIsFullyServed) {
+  TcpServerOptions options;
+  options.reactor.loop_threads = 1;
+  StartServer(std::move(options));
+  const int fd = RawConnect();
+  ASSERT_GE(fd, 0);
+  constexpr uint64_t kPages = 96;  // ~790 KB of PAGEOUT frames in one send.
+  const std::vector<uint8_t> alloc = Encode(MakeAllocRequest(1, kPages));
+  ASSERT_TRUE(SendAll(fd, alloc.data(), alloc.size()));
+  auto granted = ReadFrame(fd);
+  ASSERT_TRUE(granted.ok()) << granted.status().ToString();
+  ASSERT_EQ(granted->count, kPages);
+  const uint64_t first = granted->slot;
+
+  std::vector<uint8_t> burst;
+  PageBuffer page;
+  for (uint64_t i = 0; i < kPages; ++i) {
+    FillPattern(page.span(), 500 + i);
+    EncodeTo(MakePageOut(10 + i, first + i, page.span()), &burst);
+  }
+  ASSERT_TRUE(SendAll(fd, burst.data(), burst.size()));
+  for (uint64_t i = 0; i < kPages; ++i) {
+    auto ack = ReadFrame(fd);
+    ASSERT_TRUE(ack.ok()) << "ack " << i << ": " << ack.status().ToString();
+    EXPECT_EQ(ack->status_code(), ErrorCode::kOk) << "ack " << i;
+  }
+
+  burst.clear();
+  for (uint64_t i = 0; i < kPages; ++i) {
+    EncodeTo(MakePageIn(1000 + i, first + i), &burst);
+  }
+  ASSERT_TRUE(SendAll(fd, burst.data(), burst.size()));
+  std::vector<bool> seen(kPages, false);
+  for (uint64_t i = 0; i < kPages; ++i) {
+    auto reply = ReadFrame(fd);
+    ASSERT_TRUE(reply.ok()) << "reply " << i << ": " << reply.status().ToString();
+    ASSERT_EQ(reply->status_code(), ErrorCode::kOk);
+    ASSERT_GE(reply->request_id, 1000u);
+    const uint64_t index = reply->request_id - 1000;
+    ASSERT_LT(index, kPages);
+    seen[index] = true;
+    FillPattern(page.span(), 500 + index);
+    EXPECT_EQ(reply->payload, std::vector<uint8_t>(page.span().begin(), page.span().end()))
+        << "page " << index;
+  }
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), true), static_cast<long>(kPages));
+  ::close(fd);
+}
 
 size_t CurrentRssKb() {
   std::ifstream status("/proc/self/status");
