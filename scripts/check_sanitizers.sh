@@ -46,7 +46,12 @@ sanitizers=("${@:-address}")
 # every length and offset across them) and the shared coalescing free-run
 # list behind memory-server slots and disk blocks, which the concurrent
 # churn suite drives from many threads at once.
-label="${RMP_SMOKE_LABEL:-faults_smoke|repair_smoke|metrics_smoke|reactor_smoke|compress_smoke|tenant_smoke|membership_smoke|obs_smoke|store_smoke}"
+# policy_smoke covers the five reliability policies and the placement-and-move
+# engine they share (the fresh-slot write, the zero-loss page move, the
+# stored-copy scan): slots handed back on failed writes, victim lists built
+# while tables change under them, and the batch placer's staging copies are
+# where ASan/UBSan findings would hide behind a page that still reads back.
+label="${RMP_SMOKE_LABEL:-faults_smoke|repair_smoke|metrics_smoke|reactor_smoke|compress_smoke|tenant_smoke|membership_smoke|obs_smoke|store_smoke|policy_smoke}"
 
 for sanitizer in "${sanitizers[@]}"; do
   build_dir="${repo_root}/build-${sanitizer}san"

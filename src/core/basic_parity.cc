@@ -115,22 +115,28 @@ Result<TimeNs> BasicParityBackend::PageOut(TimeNs now, uint64_t page_id,
   return now;
 }
 
-Status BasicParityBackend::RefreshParityRow(uint64_t row, TimeNs* now) {
+Status BasicParityBackend::XorCells(uint64_t row, size_t skip_column, PageBuffer* acc,
+                                    TimeNs* now) {
   auto cells_it = row_pages_.find(row);
   if (cells_it == row_pages_.end()) {
-    return InternalError("parity refresh of an unwritten row");
+    return InternalError("stripe row " + std::to_string(row) + " was never written");
   }
   const std::vector<uint64_t>& cells = cells_it->second;
-  PageBuffer xor_buf;
   PageBuffer page;
   for (size_t c = 0; c < columns_.size(); ++c) {
-    if (c >= cells.size() || cells[c] == kEmptyCell) {
+    if (c == skip_column || c >= cells.size() || cells[c] == kEmptyCell) {
       continue;  // Cell never written; it contributes zeroes to the parity.
     }
     RMP_RETURN_IF_ERROR(ReliablePageIn(columns_[c], row, page.span(), now));
     *now = ChargePageTransfer(*now, columns_[c]);
-    xor_buf.XorWith(page.span());
+    acc->XorWith(page.span());
   }
+  return OkStatus();
+}
+
+Status BasicParityBackend::RefreshParityRow(uint64_t row, TimeNs* now) {
+  PageBuffer xor_buf;
+  RMP_RETURN_IF_ERROR(XorCells(row, columns_.size(), &xor_buf, now));
   auto advise = ReliablePageOut(parity_peer_, row, xor_buf.span(), now);
   if (!advise.ok()) {
     return advise.status();
@@ -167,19 +173,7 @@ Result<TimeNs> BasicParityBackend::PageIn(TimeNs now, uint64_t page_id, std::spa
   PageBuffer xor_buf;
   RMP_RETURN_IF_ERROR(ReliablePageIn(parity_peer_, pos.row, xor_buf.span(), &now));
   now = ChargePageTransfer(now, parity_peer_);
-  PageBuffer page;
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    if (c == pos.column) {
-      continue;
-    }
-    auto& row_cells = row_pages_[pos.row];
-    if (row_cells.empty() || row_cells[c] == kEmptyCell) {
-      continue;  // Cell never written; it contributes zeroes to the parity.
-    }
-    RMP_RETURN_IF_ERROR(ReliablePageIn(columns_[c], pos.row, page.span(), &now));
-    now = ChargePageTransfer(now, columns_[c]);
-    xor_buf.XorWith(page.span());
-  }
+  RMP_RETURN_IF_ERROR(XorCells(pos.row, pos.column, &xor_buf, &now));
   std::copy(xor_buf.span().begin(), xor_buf.span().end(), out.begin());
   tracer_.Span(TraceStage::kParity, parity_start, now);
   stats_.paging_time += now - start;
@@ -211,7 +205,6 @@ Status BasicParityBackend::Recover(size_t peer_index, TimeNs* now) {
   *now = ChargeControl(*now);
 
   PageBuffer xor_buf;
-  PageBuffer page;
   int64_t rebuilt = 0;
   for (auto& [row, cells] : row_pages_) {
     if (cells[dead_column] == kEmptyCell) {
@@ -220,14 +213,7 @@ Status BasicParityBackend::Recover(size_t peer_index, TimeNs* now) {
     xor_buf.Clear();
     RMP_RETURN_IF_ERROR(ReliablePageIn(parity_peer_, row, xor_buf.span(), now));
     *now = ChargePageTransfer(*now, parity_peer_);
-    for (size_t c = 0; c < columns_.size(); ++c) {
-      if (c == dead_column || cells[c] == kEmptyCell) {
-        continue;
-      }
-      RMP_RETURN_IF_ERROR(ReliablePageIn(columns_[c], row, page.span(), now));
-      *now = ChargePageTransfer(*now, columns_[c]);
-      xor_buf.XorWith(page.span());
-    }
+    RMP_RETURN_IF_ERROR(XorCells(row, dead_column, &xor_buf, now));
     auto advise = ReliablePageOut(spare, row, xor_buf.span(), now);
     if (!advise.ok()) {
       return advise.status();
@@ -260,6 +246,20 @@ Result<uint64_t> BasicParityBackend::RepairStep(size_t peer, uint64_t max_pages,
   // Even an empty column rebuild counts as one quantum of progress so the
   // job completes on the next call, when the column swap makes this a no-op.
   return static_cast<uint64_t>(std::max<int64_t>(1, stats_.reconstructions - before));
+}
+
+void BasicParityBackend::ScanStoredCopies(const CopyVisitor& visit) const {
+  for (const auto& [page_id, pos] : table_) {
+    if (!visit(StoredCopy{page_id, columns_[pos.column], pos.row})) {
+      return;
+    }
+  }
+  // Every written stripe row keeps a parity page on the parity server.
+  for (const auto& [row, cells] : row_pages_) {
+    if (!visit(StoredCopy{0, parity_peer_, row, 0, false})) {
+      return;
+    }
+  }
 }
 
 }  // namespace rmp

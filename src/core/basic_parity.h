@@ -59,6 +59,8 @@ class BasicParityBackend final : public RemotePagerBase {
   size_t parity_peer() const { return parity_peer_; }
 
  private:
+  void ScanStoredCopies(const CopyVisitor& visit) const override;
+
   struct Position {
     size_t column = 0;  // Index into columns_ (data servers).
     uint64_t row = 0;   // Stripe row = slot index on every server.
@@ -66,6 +68,11 @@ class BasicParityBackend final : public RemotePagerBase {
 
   // Ensures slot `row` exists on every column and the parity server.
   Status EnsureRow(uint64_t row, TimeNs* now);
+
+  // XORs into *acc every written cell of stripe row `row` except column
+  // `skip_column` (columns_.size() skips none), reading each from its data
+  // server in column order.
+  Status XorCells(uint64_t row, size_t skip_column, PageBuffer* acc, TimeNs* now);
 
   // Recomputes row `row`'s parity from its live data cells and stores it
   // with a plain, idempotent pageout. The delta protocol

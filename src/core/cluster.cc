@@ -22,7 +22,6 @@ bool EpochStamped(MessageType type) {
     case MessageType::kPageInBatch:
     case MessageType::kDeltaPageOut:
     case MessageType::kXorMerge:
-    case MessageType::kMigrate:
       return true;
     default:
       return false;
@@ -122,21 +121,27 @@ void ServerPeer::Reset() {
   }
 }
 
-Status ServerPeer::AllocExtent(uint64_t pages) {
-  auto reply = Call(MakeAllocRequest(NextRequestId(), pages));
+Status ServerPeer::CheckReply(const Result<Message>& reply, std::optional<MessageType> expected,
+                              std::string_view op) {
   if (!reply.ok()) {
     mark_dead();
     return reply.status();
   }
-  if (reply->type != MessageType::kAllocReply) {
-    return ProtocolError("unexpected reply to ALLOC on " + name_);
+  if (expected.has_value() && reply->type != *expected) {
+    return ProtocolError("unexpected reply to " + std::string(op) + " on " + name_);
   }
   if (reply->status_code() != ErrorCode::kOk) {
     if (reply->status_code() == ErrorCode::kUnavailable) {
       mark_dead();
     }
-    return Status(reply->status_code(), "alloc denied by " + name_);
+    return Status(reply->status_code(), std::string(op) + " failed on " + name_);
   }
+  return OkStatus();
+}
+
+Status ServerPeer::AllocExtent(uint64_t pages) {
+  auto reply = Call(MakeAllocRequest(NextRequestId(), pages));
+  RMP_RETURN_IF_ERROR(CheckReply(reply, MessageType::kAllocReply, "ALLOC"));
   AddExtent(SlotExtent{reply->slot, reply->count});
   // Client-side accounting: the grant consumed server memory, so most-free
   // selection stays meaningful between load refreshes.
@@ -150,19 +155,7 @@ RpcFuture ServerPeer::StartPageOut(uint64_t slot, std::span<const uint8_t> page)
 
 Result<bool> ServerPeer::JoinPageOut(RpcFuture future) {
   auto reply = future.Wait();
-  if (!reply.ok()) {
-    mark_dead();
-    return reply.status();
-  }
-  if (reply->type != MessageType::kPageOutAck) {
-    return ProtocolError("unexpected reply to PAGEOUT on " + name_);
-  }
-  if (reply->status_code() != ErrorCode::kOk) {
-    if (reply->status_code() == ErrorCode::kUnavailable) {
-      mark_dead();
-    }
-    return Status(reply->status_code(), "pageout rejected by " + name_);
-  }
+  RMP_RETURN_IF_ERROR(CheckReply(reply, MessageType::kPageOutAck, "PAGEOUT"));
   NoteSent(1);
   return reply->advise_stop();
 }
@@ -180,19 +173,7 @@ Status ServerPeer::JoinPageIn(RpcFuture future, std::span<uint8_t> out) {
     return InvalidArgumentError("pagein target must be kPageSize");
   }
   auto reply = future.Wait();
-  if (!reply.ok()) {
-    mark_dead();
-    return reply.status();
-  }
-  if (reply->type != MessageType::kPageInReply) {
-    return ProtocolError("unexpected reply to PAGEIN on " + name_);
-  }
-  if (reply->status_code() != ErrorCode::kOk) {
-    if (reply->status_code() == ErrorCode::kUnavailable) {
-      mark_dead();
-    }
-    return Status(reply->status_code(), "pagein failed on " + name_);
-  }
+  RMP_RETURN_IF_ERROR(CheckReply(reply, MessageType::kPageInReply, "PAGEIN"));
   if (reply->payload.size() != kPageSize) {
     return ProtocolError("short pagein payload from " + name_);
   }
@@ -275,34 +256,15 @@ Status ServerPeer::PageInBatchFrom(std::span<const uint64_t> slots, std::span<ui
 }
 
 Status ServerPeer::FreeOn(uint64_t first_slot, uint64_t count) {
-  auto reply = Call(MakeFreeRequest(NextRequestId(), first_slot, count));
-  if (!reply.ok()) {
-    mark_dead();
-    return reply.status();
-  }
-  if (reply->status_code() != ErrorCode::kOk) {
-    if (reply->status_code() == ErrorCode::kUnavailable) {
-      mark_dead();
-    }
-    return Status(reply->status_code(), "free failed on " + name_);
-  }
-  return OkStatus();
+  return CheckReply(Call(MakeFreeRequest(NextRequestId(), first_slot, count)), std::nullopt,
+                    "FREE");
 }
 
 Result<PageBuffer> ServerPeer::DeltaPageOutTo(uint64_t slot, std::span<const uint8_t> page) {
   Message request = MakePageOut(NextRequestId(), slot, page);
   request.type = MessageType::kDeltaPageOut;
   auto reply = Call(std::move(request));
-  if (!reply.ok()) {
-    mark_dead();
-    return reply.status();
-  }
-  if (reply->status_code() != ErrorCode::kOk) {
-    if (reply->status_code() == ErrorCode::kUnavailable) {
-      mark_dead();
-    }
-    return Status(reply->status_code(), "delta pageout rejected by " + name_);
-  }
+  RMP_RETURN_IF_ERROR(CheckReply(reply, std::nullopt, "DELTA_PAGEOUT"));
   if (reply->payload.size() != kPageSize) {
     return ProtocolError("short delta payload from " + name_);
   }
@@ -314,16 +276,7 @@ Status ServerPeer::XorMergeOn(uint64_t slot, std::span<const uint8_t> delta) {
   Message request = MakePageOut(NextRequestId(), slot, delta);
   request.type = MessageType::kXorMerge;
   auto reply = Call(std::move(request));
-  if (!reply.ok()) {
-    mark_dead();
-    return reply.status();
-  }
-  if (reply->status_code() != ErrorCode::kOk) {
-    if (reply->status_code() == ErrorCode::kUnavailable) {
-      mark_dead();
-    }
-    return Status(reply->status_code(), "xor merge rejected by " + name_);
-  }
+  RMP_RETURN_IF_ERROR(CheckReply(reply, std::nullopt, "XOR_MERGE"));
   NoteSent(1);
   return OkStatus();
 }
@@ -365,32 +318,6 @@ Result<ServerPeer::HeartbeatInfo> ServerPeer::Heartbeat() {
   info.advise_stop = reply->advise_stop();
   known_free_pages_ = info.free_pages;
   return info;
-}
-
-Status ServerPeer::MigrateRead(uint64_t slot, std::span<uint8_t> out) {
-  if (out.size() != kPageSize) {
-    return InvalidArgumentError("migrate target must be kPageSize");
-  }
-  auto reply = Call(MakeMigrate(NextRequestId(), slot));
-  if (!reply.ok()) {
-    mark_dead();
-    return reply.status();
-  }
-  if (reply->type != MessageType::kMigrateReply) {
-    return ProtocolError("unexpected reply to MIGRATE on " + name_);
-  }
-  if (reply->status_code() != ErrorCode::kOk) {
-    if (reply->status_code() == ErrorCode::kUnavailable) {
-      mark_dead();
-    }
-    return Status(reply->status_code(), "migrate failed on " + name_);
-  }
-  if (reply->payload.size() != kPageSize) {
-    return ProtocolError("short migrate payload from " + name_);
-  }
-  std::copy(reply->payload.begin(), reply->payload.end(), out.begin());
-  NoteFetched(1);
-  return OkStatus();
 }
 
 Result<std::string> ServerPeer::QueryStats() {

@@ -12,7 +12,9 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/proto/cluster_map.h"
@@ -171,10 +173,6 @@ class ServerPeer {
   };
   Result<HeartbeatInfo> Heartbeat();
 
-  // MIGRATE: reads the page at `slot` into `out` and frees the slot on the
-  // server in one round trip (the §2.1 drain path's read side).
-  Status MigrateRead(uint64_t slot, std::span<uint8_t> out);
-
   // Counters.
   int64_t pages_sent() const { return pages_sent_; }
   int64_t pages_fetched() const { return pages_fetched_; }
@@ -208,6 +206,12 @@ class ServerPeer {
 
  private:
   uint64_t NextRequestId() { return ++request_id_; }
+  // The checks a data-path RPC applies to its reply: a transport failure or
+  // an UNAVAILABLE status marks this peer dead, a reply other than
+  // `expected` (when given) is a protocol error, any other non-OK status
+  // fails `op` on this peer.
+  Status CheckReply(const Result<Message>& reply, std::optional<MessageType> expected,
+                    std::string_view op);
   // Transport forwarders that stamp tenant_ onto untagged requests; every
   // RPC helper goes through one of them.
   Result<Message> Call(Message request);

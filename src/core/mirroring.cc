@@ -8,82 +8,40 @@
 
 namespace rmp {
 
-Result<MirroringBackend::Replica> MirroringBackend::AcquireReplicaSlot(TimeNs* now,
-                                                                       size_t avoid) {
-  for (size_t attempts = 0; attempts < cluster_.size() + 1; ++attempts) {
+Result<MirroringBackend::Replica> MirroringBackend::PlaceReplica(std::span<const uint8_t> data,
+                                                                 size_t preferred, size_t avoid,
+                                                                 TimeNs* now) {
+  // The preferred (owner-chain) peer gets one attempt; then the round-robin
+  // scan, skipping `avoid`, gets one attempt per peer plus one.
+  bool try_preferred =
+      preferred < cluster_.size() && preferred != avoid && cluster_.peer(preferred).usable();
+  const size_t attempts = cluster_.size() + 1 + (try_preferred ? 1 : 0);
+  auto placed = WriteFreshSlot(data, attempts, [&](TimeNs*) -> Result<size_t> {
+    if (try_preferred) {
+      try_preferred = false;
+      return preferred;
+    }
     auto pick = cluster_.NextUsable(&rr_cursor_);
-    if (!pick.ok()) {
-      return pick.status();
+    if (!pick.ok() || *pick != avoid) {
+      return pick;
     }
-    if (*pick == avoid) {
-      // Only one usable peer left and it is the one to avoid.
-      if (cluster_.size() == 1) {
-        return NoSpaceError("cannot mirror on a single server");
-      }
-      auto second = cluster_.NextUsable(&rr_cursor_);
-      if (!second.ok() || *second == avoid) {
-        return NoSpaceError("no second server available for mirror");
-      }
-      pick = second;
+    // Only one usable peer left and it is the one to avoid.
+    if (cluster_.size() == 1) {
+      return NoSpaceError("cannot mirror on a single server");
     }
-    const size_t peer_index = *pick;
-    ServerPeer& peer = cluster_.peer(peer_index);
-    auto slot = TakeSlotOn(peer_index, now);
-    if (!slot.ok()) {
-      if (slot.status().code() == ErrorCode::kNoSpace) {
-        peer.set_stopped(true);
-        continue;
-      }
-      if (IsRetryableError(slot.status())) {
-        continue;  // Try the next peer; the pool loop is the failover.
-      }
-      return slot.status();
+    auto second = cluster_.NextUsable(&rr_cursor_);
+    if (!second.ok() || *second == avoid) {
+      return NoSpaceError("no second server available for mirror");
     }
-    return Replica{peer_index, *slot};
+    return second;
+  }, now);
+  if (!placed.ok()) {
+    return placed.status();
   }
-  return NoSpaceError("no usable server for mirror replica");
-}
-
-Result<MirroringBackend::Replica> MirroringBackend::AcquireReplicaSlotPreferring(
-    size_t preferred, size_t avoid, TimeNs* now) {
-  if (preferred < cluster_.size() && preferred != avoid && cluster_.peer(preferred).usable()) {
-    auto slot = TakeSlotOn(preferred, now);
-    if (slot.ok()) {
-      return Replica{preferred, *slot};
-    }
-    if (slot.status().code() == ErrorCode::kNoSpace) {
-      cluster_.peer(preferred).set_stopped(true);
-    } else if (!IsRetryableError(slot.status())) {
-      return slot.status();
-    }
-    // Preferred peer full or flaky: any usable peer beats failing the write.
+  if (!placed->has_value()) {
+    return NoSpaceError("no usable server for mirror replica");
   }
-  return AcquireReplicaSlot(now, avoid);
-}
-
-Result<MirroringBackend::Replica> MirroringBackend::WriteNewReplica(
-    TimeNs* now, std::span<const uint8_t> data, size_t avoid) {
-  for (size_t attempts = 0; attempts < cluster_.size() + 1; ++attempts) {
-    auto replica = AcquireReplicaSlot(now, avoid);
-    if (!replica.ok()) {
-      return replica.status();
-    }
-    ServerPeer& peer = cluster_.peer(replica->peer);
-    auto advise = ReliablePageOut(replica->peer, replica->slot, data, now);
-    if (!advise.ok()) {
-      // The slot dies with the server; retry elsewhere.
-      if (IsRetryableError(advise.status())) {
-        continue;
-      }
-      return advise.status();
-    }
-    *now = ChargePageTransferAsync(*now, replica->peer);
-    if (*advise) {
-      peer.set_no_new_extents(true);
-    }
-    return *replica;
-  }
-  return NoSpaceError("no usable server for mirror replica");
+  return **placed;
 }
 
 Status MirroringBackend::JoinReplicaWrites(TimeNs* now, std::span<const uint8_t> data,
@@ -113,9 +71,7 @@ Status MirroringBackend::JoinReplicaWrites(TimeNs* now, std::span<const uint8_t>
       }
       if (advise.ok()) {
         done = std::max(done, ChargePageTransferAsync(start, copy_peer));
-        if (*advise) {
-          peer.set_no_new_extents(true);
-        }
+        HeedAdvice(copy_peer, *advise);
         ok = true;
       } else if (!IsRetryableError(advise.status())) {
         return advise.status();
@@ -125,7 +81,7 @@ Status MirroringBackend::JoinReplicaWrites(TimeNs* now, std::span<const uint8_t>
       // Repair serially: the replacement write cannot start before the
       // failure of the original is known.
       TimeNs repair = start;
-      auto replica = WriteNewReplica(&repair, data, entry->copies[1 - c].peer);
+      auto replica = PlaceReplica(data, kNoPeer, entry->copies[1 - c].peer, &repair);
       if (!replica.ok()) {
         return replica.status();
       }
@@ -168,7 +124,7 @@ Result<TimeNs> MirroringBackend::PageOut(TimeNs now, uint64_t page_id,
   // Fresh page: reserve slots on two distinct servers up front, then write
   // both replicas in parallel. With a cluster map adopted, the page's
   // two-deep owner chain gets first refusal on each slot.
-  size_t want[2] = {cluster_.size(), cluster_.size()};
+  size_t want[2] = {kNoPeer, kNoPeer};
   if (has_cluster_map()) {
     const auto chain = cluster_map().OwnerChain(cluster_map().GroupOf(page_id), 2);
     for (size_t c = 0; c < chain.size() && c < 2; ++c) {
@@ -176,12 +132,12 @@ Result<TimeNs> MirroringBackend::PageOut(TimeNs now, uint64_t page_id,
     }
   }
   MirrorEntry entry;
-  auto first = AcquireReplicaSlotPreferring(want[0], cluster_.size(), &now);
+  auto first = PlaceReplica({}, want[0], kNoPeer, &now);
   if (!first.ok()) {
     return first.status();
   }
   entry.copies[0] = *first;
-  auto second = AcquireReplicaSlotPreferring(want[1], first->peer, &now);
+  auto second = PlaceReplica({}, want[1], first->peer, &now);
   if (!second.ok()) {
     return second.status();
   }
@@ -237,15 +193,7 @@ Result<uint64_t> MirroringBackend::ResilverChunk(size_t peer_index, uint64_t max
   if (max_pages == 0) {
     return InvalidArgumentError("resilver chunk must be at least one page");
   }
-  std::vector<uint64_t> orphaned;
-  for (const auto& [page_id, entry] : table_) {
-    if (entry.copies[0].peer == peer_index || entry.copies[1].peer == peer_index) {
-      orphaned.push_back(page_id);
-      if (orphaned.size() >= max_pages) {
-        break;
-      }
-    }
-  }
+  const std::vector<StoredCopy> orphaned = CopiesOn(peer_index, max_pages);
   if (orphaned.empty()) {
     return 0;  // Every page is fully replicated again.
   }
@@ -254,11 +202,8 @@ Result<uint64_t> MirroringBackend::ResilverChunk(size_t peer_index, uint64_t max
   // destination once each orphan has a reserved slot.
   std::vector<PageWant> wants;
   wants.reserve(orphaned.size());
-  std::vector<int> dead_copy(orphaned.size());
-  for (size_t i = 0; i < orphaned.size(); ++i) {
-    const MirrorEntry& entry = table_.at(orphaned[i]);
-    dead_copy[i] = entry.copies[0].peer == peer_index ? 0 : 1;
-    const Replica& live = entry.copies[1 - dead_copy[i]];
+  for (const StoredCopy& orphan : orphaned) {
+    const Replica& live = table_.at(orphan.page_id).copies[1 - orphan.copy];
     wants.push_back(PageWant{live.peer, live.slot});
   }
   std::vector<PageBuffer> pages;
@@ -267,7 +212,7 @@ Result<uint64_t> MirroringBackend::ResilverChunk(size_t peer_index, uint64_t max
   std::map<size_t, std::vector<size_t>> by_dest;  // Destination peer -> orphan indices.
   std::vector<Replica> placed(orphaned.size());
   for (size_t i = 0; i < orphaned.size(); ++i) {
-    auto replica = AcquireReplicaSlot(now, wants[i].peer);
+    auto replica = PlaceReplica({}, kNoPeer, wants[i].peer, now);
     if (!replica.ok()) {
       return replica.status();
     }
@@ -284,16 +229,13 @@ Result<uint64_t> MirroringBackend::ResilverChunk(size_t peer_index, uint64_t max
         slots[j] = placed[i].slot;
         std::copy(pages[i].span().begin(), pages[i].span().end(), data.begin() + j * kPageSize);
       }
-      ServerPeer& peer = cluster_.peer(dest);
-      auto advise = peer.PageOutBatchTo(slots, data);
+      auto advise = cluster_.peer(dest).PageOutBatchTo(slots, data);
       if (advise.ok()) {
         *now = ChargePageBatchTransferAsync(*now, n, dest);
-        if (*advise) {
-          peer.set_no_new_extents(true);
-        }
+        HeedAdvice(dest, *advise);
         for (size_t j = 0; j < n; ++j) {
-          const size_t i = indices[pos + j];
-          table_.at(orphaned[i]).copies[dead_copy[i]] = placed[i];
+          const StoredCopy& orphan = orphaned[indices[pos + j]];
+          table_.at(orphan.page_id).copies[orphan.copy] = placed[indices[pos + j]];
         }
         continue;
       }
@@ -303,11 +245,11 @@ Result<uint64_t> MirroringBackend::ResilverChunk(size_t peer_index, uint64_t max
       // The destination died mid-resilver; repair this chunk page by page.
       for (size_t j = 0; j < n; ++j) {
         const size_t i = indices[pos + j];
-        auto replica = WriteNewReplica(now, pages[i].span(), wants[i].peer);
+        auto replica = PlaceReplica(pages[i].span(), kNoPeer, wants[i].peer, now);
         if (!replica.ok()) {
           return replica.status();
         }
-        table_.at(orphaned[i]).copies[dead_copy[i]] = *replica;
+        table_.at(orphaned[i].page_id).copies[orphaned[i].copy] = *replica;
       }
     }
   }
@@ -318,15 +260,7 @@ Result<uint64_t> MirroringBackend::ResilverChunk(size_t peer_index, uint64_t max
 }
 
 Status MirroringBackend::Recover(size_t peer_index, TimeNs* now) {
-  while (true) {
-    auto done = ResilverChunk(peer_index, kMaxBatchPages, now);
-    if (!done.ok()) {
-      return done.status();
-    }
-    if (*done == 0) {
-      return OkStatus();
-    }
-  }
+  return RunSteps([&] { return ResilverChunk(peer_index, kMaxBatchPages, now); }).status();
 }
 
 Result<uint64_t> MirroringBackend::RepairStep(size_t peer, uint64_t max_pages, TimeNs* now) {
@@ -334,53 +268,22 @@ Result<uint64_t> MirroringBackend::RepairStep(size_t peer, uint64_t max_pages, T
 }
 
 Result<uint64_t> MirroringBackend::MigrateStep(size_t peer, uint64_t max_pages, TimeNs* now) {
-  ServerPeer& source = cluster_.peer(peer);
-  if (!source.alive()) {
-    return UnavailableError("cannot migrate replicas off a crashed server");
-  }
-  // Stop placements first so the drain converges (and so WriteNewReplica
-  // below never re-targets the server being drained).
-  if (!source.stopped()) {
-    source.set_stopped(true);
-  }
-  std::vector<uint64_t> victims;
-  for (const auto& [page_id, entry] : table_) {
-    if (entry.copies[0].peer == peer || entry.copies[1].peer == peer) {
-      victims.push_back(page_id);
-      if (victims.size() >= max_pages) {
-        break;
-      }
-    }
-  }
-  if (victims.empty()) {
-    return 0;  // Drained: no replica lives on the peer any more.
-  }
-  PageBuffer buffer;
-  for (const uint64_t page_id : victims) {
-    MirrorEntry& entry = table_.at(page_id);
-    const int c = entry.copies[0].peer == peer ? 0 : 1;
-    const Replica old = entry.copies[c];
-    // MIGRATE reads the replica and frees its slot in one round trip.
-    Status read = source.MigrateRead(old.slot, buffer.span());
-    if (read.ok()) {
-      *now = ChargePageTransfer(*now, peer);
-    } else {
-      if (!IsRetryableError(read)) {
-        return read;
-      }
-      // The overloaded server dropped the request; the mirror still has the
-      // bytes, so migrate via the surviving copy and free best-effort.
-      source.mark_alive();
-      const Replica& live = entry.copies[1 - c];
-      RMP_RETURN_IF_ERROR(ReliablePageIn(live.peer, live.slot, buffer.span(), now));
-      *now = ChargePageTransfer(*now, live.peer);
-      (void)source.FreeOn(old.slot, 1);
-    }
-    auto replica = WriteNewReplica(now, buffer.span(), entry.copies[1 - c].peer);
-    if (!replica.ok()) {
-      return replica.status();  // e.g. kNoSpace: nowhere left to drain to.
-    }
-    entry.copies[c] = *replica;
+  RMP_RETURN_IF_ERROR(BeginDrain(peer));
+  const std::vector<StoredCopy> victims = CopiesOn(peer, max_pages);
+  for (const StoredCopy& victim : victims) {
+    // Read the replica (or, if the overloaded server drops the request, its
+    // mirror), place it on a third server, and only then retire it here. A
+    // placement that fails (e.g. kNoSpace: nowhere left to drain to) returns
+    // with both copies where they were.
+    const Replica mirror = table_.at(victim.page_id).copies[1 - victim.copy];
+    RMP_RETURN_IF_ERROR(MoveCopy(victim, mirror,
+                                 [&](std::span<const uint8_t> page, TimeNs* t) -> Status {
+                                   auto replica = PlaceReplica(page, kNoPeer, mirror.peer, t);
+                                   RMP_RETURN_IF_ERROR(replica.status());
+                                   table_.at(victim.page_id).copies[victim.copy] = *replica;
+                                   return OkStatus();
+                                 },
+                                 now));
   }
   return victims.size();
 }
@@ -391,9 +294,9 @@ Result<uint64_t> MirroringBackend::RebalanceStep(uint64_t max_pages, TimeNs* now
   }
   const ClusterMap& map = cluster_map();
   struct Move {
-    uint64_t page_id = 0;
-    int copy = 0;    // Which of the two copies is the stray.
-    size_t dest = 0; // The owner-chain peer missing a copy.
+    StoredCopy stray;
+    Replica other;
+    size_t dest = 0;  // The owner-chain peer missing a copy.
   };
   std::vector<Move> moves;
   for (const auto& [page_id, entry] : table_) {
@@ -412,66 +315,43 @@ Result<uint64_t> MirroringBackend::RebalanceStep(uint64_t max_pages, TimeNs* now
     // over two steps. The destination is a chain peer not already holding a
     // copy — and it must be usable before the move is attempted.
     const int stray = in0 ? 1 : 0;
-    const size_t keep = stray == 0 ? p1 : p0;
-    const size_t dest = chain[0] != keep ? chain[0] : chain[1];
-    if (dest == entry.copies[stray].peer || !cluster_.peer(dest).usable()) {
+    const Replica& keep = entry.copies[1 - stray];
+    const size_t dest = chain[0] != keep.peer ? chain[0] : chain[1];
+    const Replica& old = entry.copies[stray];
+    if (dest == old.peer || !cluster_.peer(dest).usable()) {
       continue;
     }
-    moves.push_back({page_id, stray, dest});
+    moves.push_back({StoredCopy{page_id, old.peer, old.slot, stray}, keep, dest});
     if (moves.size() >= max_pages) {
       break;
     }
   }
   uint64_t moved = 0;
-  PageBuffer buffer;
   for (const Move& mv : moves) {
-    MirrorEntry& entry = table_.at(mv.page_id);
-    const Replica old = entry.copies[mv.copy];
-    const Replica& other = entry.copies[1 - mv.copy];
-    // Read from whichever copy answers (the page always keeps two copies
-    // except for the stray being retired, so a crash mid-move loses nothing).
-    Status read = ReliablePageIn(old.peer, old.slot, buffer.span(), now);
-    if (read.ok()) {
-      *now = ChargePageTransfer(*now, old.peer);
-    } else {
-      if (!IsRetryableError(read)) {
-        return read;
-      }
-      Status mirror_read = ReliablePageIn(other.peer, other.slot, buffer.span(), now);
-      if (!mirror_read.ok()) {
-        continue;  // Neither copy reachable right now; a later step retries.
-      }
-      *now = ChargePageTransfer(*now, other.peer);
-    }
-    auto slot = TakeSlotOn(mv.dest, now);
-    if (!slot.ok()) {
-      continue;
-    }
-    auto advise = ReliablePageOut(mv.dest, *slot, buffer.span(), now);
-    if (!advise.ok()) {
-      cluster_.peer(mv.dest).ReturnSlot(*slot);
-      continue;
-    }
-    *now = ChargePageTransferAsync(*now, mv.dest);
-    if (*advise) {
-      cluster_.peer(mv.dest).set_no_new_extents(true);
-    }
-    // The table flips only after the chain peer holds an acknowledged copy;
-    // the stray's slot is then freed best-effort (a missed free costs the
-    // old server capacity, never the client data).
-    entry.copies[mv.copy] = Replica{mv.dest, *slot};
-    (void)ReliableFree(old.peer, old.slot, 1, now);
-    ++moved;
+    // The page keeps two copies except for the stray being retired, so a
+    // crash mid-move loses nothing. A failed move is skipped; a later step
+    // retries it.
+    const Status status = MoveCopy(mv.stray, mv.other,
+                                   [&](std::span<const uint8_t> page, TimeNs* t) -> Status {
+                                     auto at = StoreOnPeer(mv.dest, page, t);
+                                     RMP_RETURN_IF_ERROR(at.status());
+                                     table_.at(mv.stray.page_id).copies[mv.stray.copy] = *at;
+                                     return OkStatus();
+                                   },
+                                   now);
+    moved += status.ok() ? 1 : 0;
   }
   return moved;
 }
 
-uint64_t MirroringBackend::PagesOn(size_t peer) const {
-  uint64_t count = 0;
+void MirroringBackend::ScanStoredCopies(const CopyVisitor& visit) const {
   for (const auto& [page_id, entry] : table_) {
-    count += (entry.copies[0].peer == peer ? 1 : 0) + (entry.copies[1].peer == peer ? 1 : 0);
+    for (int c = 0; c < 2; ++c) {
+      if (!visit(StoredCopy{page_id, entry.copies[c].peer, entry.copies[c].slot, c})) {
+        return;
+      }
+    }
   }
-  return count;
 }
 
 int64_t MirroringBackend::fully_replicated_pages() const {

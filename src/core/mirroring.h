@@ -38,50 +38,40 @@ class MirroringBackend final : public RemotePagerBase {
   Result<uint64_t> RepairStep(size_t peer, uint64_t max_pages, TimeNs* now) override;
 
   // Overload drain (§2.1): moves up to `max_pages` replicas off the live
-  // peer onto other servers with MIGRATE (read + free in one round trip),
-  // keeping both copies of every page on distinct servers throughout.
+  // peer onto other servers, each through MoveCopy, keeping both copies of
+  // every page on distinct servers throughout. A placement that fails
+  // returns its error with the replica still on the peer.
   Result<uint64_t> MigrateStep(size_t peer, uint64_t max_pages, TimeNs* now) override;
 
   // Elastic-membership rebalance quantum (DESIGN.md §16): moves replica
   // copies whose placement disagrees with the map's two-deep owner chain.
-  // One copy moves per page per step (read, write to the chain peer, free
-  // the stray copy — in that order), so the page keeps two acknowledged
-  // copies except for the stray being retired.
+  // One copy moves per page per step, through MoveCopy, so the page keeps
+  // two acknowledged copies except for the stray being retired. A move that
+  // fails is skipped and retried by a later step.
   Result<uint64_t> RebalanceStep(uint64_t max_pages, TimeNs* now) override;
-
-  // Replica copies currently stored on `peer` (both copies count).
-  uint64_t PagesOn(size_t peer) const override;
 
   // Number of pages currently holding two live replicas (invariant probe).
   int64_t fully_replicated_pages() const;
 
  private:
-  struct Replica {
-    size_t peer = 0;
-    uint64_t slot = 0;
-  };
+  using Replica = SlotRef;
   struct MirrorEntry {
     Replica copies[2];
   };
 
-  // Reserves a fresh slot on some usable peer other than `avoid` (pass
-  // cluster_.size() to allow any). Does not touch the page data.
-  Result<Replica> AcquireReplicaSlot(TimeNs* now, size_t avoid);
+  void ScanStoredCopies(const CopyVisitor& visit) const override;
 
-  // Like AcquireReplicaSlot but tries `preferred` first (the map's owner-
-  // chain peer); falls back to the round-robin scan when the preferred peer
-  // is unusable, full, or equal to `avoid`. Pass cluster_.size() as
-  // `preferred` to skip the preference.
-  Result<Replica> AcquireReplicaSlotPreferring(size_t preferred, size_t avoid, TimeNs* now);
-
-  // Writes `data` to a fresh slot on some usable peer other than `avoid`
-  // (pass cluster_.size() to allow any). Returns the written replica.
-  Result<Replica> WriteNewReplica(TimeNs* now, std::span<const uint8_t> data, size_t avoid);
+  // Places one replica with the fresh-slot write: `preferred` (the map's
+  // owner-chain peer; kNoPeer for none) first, then the round robin over
+  // usable peers other than `avoid` (kNoPeer to allow any). Writes `data`
+  // there, or only reserves the slot when `data` is empty.
+  Result<Replica> PlaceReplica(std::span<const uint8_t> data, size_t preferred, size_t avoid,
+                               TimeNs* now);
 
   // Joins two replica writes previously issued with StartPageOut (slots
   // `issued[c]`), charging both transfers from the same instant *now and
   // advancing *now to the later completion. A copy whose server went away
-  // mid-write is repaired onto a different peer via WriteNewReplica.
+  // mid-write is repaired onto a different peer via PlaceReplica.
   Status JoinReplicaWrites(TimeNs* now, std::span<const uint8_t> data, MirrorEntry* entry,
                            RpcFuture futures[2], const bool issued[2]);
 

@@ -1,6 +1,7 @@
 #include "src/core/no_reliability.h"
 
 #include <cstring>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -30,48 +31,25 @@ Result<TimeNs> NoReliabilityBackend::SendToDisk(TimeNs now, uint64_t page_id,
 
 Result<TimeNs> NoReliabilityBackend::PlaceAndSend(TimeNs now, uint64_t page_id,
                                                   std::span<const uint8_t> data) {
-  // Try servers until one takes the page; denial marks the server stopped
-  // (§2.1) and the search continues. With a cluster map adopted, the map
-  // owner gets first refusal so steady-state placement matches the ring.
-  while (cluster_.AnyUsable()) {
-    auto pick = PickPeerForPage(page_id, &now);
-    if (!pick.ok()) {
-      break;
-    }
-    const size_t peer_index = *pick;
-    ServerPeer& peer = cluster_.peer(peer_index);
-    auto slot = TakeSlotOn(peer_index, &now);
-    if (!slot.ok()) {
-      if (slot.status().code() == ErrorCode::kNoSpace) {
-        peer.set_stopped(true);
-        continue;
-      }
-      if (IsRetryableError(slot.status())) {
-        continue;  // Peer died; marked dead by the RPC layer.
-      }
-      return slot.status();
-    }
-    auto advise = ReliablePageOut(peer_index, *slot, data, &now);
-    if (!advise.ok()) {
-      if (IsRetryableError(advise.status())) {
-        continue;
-      }
-      return advise.status();
-    }
-    now = ChargePageTransferAsync(now, peer_index);
-    Location& loc = table_[page_id];
-    loc.on_disk = false;
-    loc.peer = peer_index;
-    loc.slot = *slot;
-    if (*advise) {
-      // No new swap space from this server; already-granted slots stay
-      // usable. The next explicit MigrateFrom (or natural overwrites)
-      // drains the peer.
-      peer.set_no_new_extents(true);
-    }
-    return now;
+  // Try servers until one takes the page or none is usable; with a cluster
+  // map adopted, the map owner gets first refusal so steady-state placement
+  // matches the ring.
+  auto placed = WriteFreshSlot(data, std::numeric_limits<size_t>::max(),
+                               [&](TimeNs* t) -> Result<size_t> {
+                                 if (!cluster_.AnyUsable()) {
+                                   return kNoPeer;
+                                 }
+                                 return PickPeerForPage(page_id, t).value_or(kNoPeer);
+                               },
+                               &now);
+  if (!placed.ok()) {
+    return placed.status();
   }
-  return SendToDisk(now, page_id, data);
+  if (!placed->has_value()) {
+    return SendToDisk(now, page_id, data);
+  }
+  table_[page_id] = Location{false, (*placed)->peer, (*placed)->slot};
+  return now;
 }
 
 Result<TimeNs> NoReliabilityBackend::PageOut(TimeNs now, uint64_t page_id,
@@ -87,18 +65,14 @@ Result<TimeNs> NoReliabilityBackend::PageOut(TimeNs now, uint64_t page_id,
     // Overwrite in place on the same server.
     ServerPeer& peer = cluster_.peer(it->second.peer);
     if (peer.alive() || peer.transport().connected()) {
-      auto advise = ReliablePageOut(it->second.peer, it->second.slot, data, &now);
-      if (advise.ok()) {
-        now = ChargePageTransferAsync(now, it->second.peer);
-        if (*advise) {
-          peer.set_no_new_extents(true);
-        }
+      const Status stored = StoreAt({it->second.peer, it->second.slot}, data, &now);
+      if (stored.ok()) {
         stats_.paging_time += now - start;
         trace.set_ok();
         return now;
       }
-      if (!IsRetryableError(advise.status())) {
-        return advise.status();
+      if (!IsRetryableError(stored)) {
+        return stored;
       }
       // Server died under us; we still hold the data, so relocate.
     }
@@ -128,151 +102,110 @@ Result<TimeNs> NoReliabilityBackend::PageOut(TimeNs now, uint64_t page_id,
   return done;
 }
 
-Result<TimeNs> NoReliabilityBackend::PlaceBatch(TimeNs now, std::span<const uint64_t> page_ids,
-                                                std::span<const uint8_t> data) {
-  if (has_cluster_map()) {
-    return PlaceBatchByOwner(now, page_ids, data);
-  }
-  const TimeNs start = now;
-  size_t placed = 0;
-  while (placed < page_ids.size() && cluster_.AnyUsable()) {
-    auto pick = PickPeer(&now);
-    if (!pick.ok()) {
+Result<size_t> NoReliabilityBackend::ShipBatchFrame(size_t peer_index,
+                                                    std::span<const size_t> indices,
+                                                    std::span<const uint64_t> page_ids,
+                                                    std::span<const uint8_t> data, TimeNs* now) {
+  ServerPeer& peer = cluster_.peer(peer_index);
+  std::vector<uint64_t> slots;
+  Status slot_status = OkStatus();
+  while (slots.size() < indices.size() && slots.size() < kMaxBatchPages) {
+    auto slot = TakeSlotOn(peer_index, now);
+    if (!slot.ok()) {
+      slot_status = slot.status();
       break;
     }
-    const size_t peer_index = *pick;
-    ServerPeer& peer = cluster_.peer(peer_index);
-    // Take as many slots as the peer will grant for the rest of the run.
-    std::vector<uint64_t> slots;
-    Status slot_status = OkStatus();
-    while (placed + slots.size() < page_ids.size() && slots.size() < kMaxBatchPages) {
-      auto slot = TakeSlotOn(peer_index, &now);
-      if (!slot.ok()) {
-        slot_status = slot.status();
-        break;
-      }
-      slots.push_back(*slot);
-    }
-    if (!slot_status.ok() && slot_status.code() != ErrorCode::kNoSpace &&
-        slot_status.code() != ErrorCode::kUnavailable) {
-      return slot_status;
-    }
-    if (slot_status.code() == ErrorCode::kNoSpace) {
-      peer.set_stopped(true);
-    }
-    if (slots.empty()) {
-      continue;
-    }
-    auto advise =
-        peer.PageOutBatchTo(slots, data.subspan(placed * kPageSize, slots.size() * kPageSize));
-    if (!advise.ok()) {
-      if (advise.status().code() == ErrorCode::kUnavailable) {
-        continue;  // Peer died mid-batch; its slots die with it. Retry elsewhere.
-      }
-      return advise.status();
-    }
-    now = ChargePageBatchTransferAsync(now, slots.size(), peer_index);
-    if (*advise) {
-      peer.set_no_new_extents(true);
-    }
-    for (size_t j = 0; j < slots.size(); ++j) {
-      Location& loc = table_[page_ids[placed + j]];
-      loc.on_disk = false;
-      loc.peer = peer_index;
-      loc.slot = slots[j];
-    }
-    stats_.pageouts += static_cast<int64_t>(slots.size());
-    placed += slots.size();
+    slots.push_back(*slot);
   }
-  stats_.paging_time += now - start;
-  for (; placed < page_ids.size(); ++placed) {
-    auto done = PageOut(now, page_ids[placed], data.subspan(placed * kPageSize, kPageSize));
-    if (!done.ok()) {
-      return done;
-    }
-    now = *done;
+  if (!slot_status.ok() && slot_status.code() != ErrorCode::kNoSpace &&
+      slot_status.code() != ErrorCode::kUnavailable) {
+    return slot_status;
   }
-  return now;
+  if (slot_status.code() == ErrorCode::kNoSpace) {
+    peer.set_stopped(true);
+  }
+  if (slots.empty()) {
+    return 0;
+  }
+  std::vector<uint8_t> staging(slots.size() * kPageSize);
+  for (size_t j = 0; j < slots.size(); ++j) {
+    std::memcpy(staging.data() + j * kPageSize, data.data() + indices[j] * kPageSize, kPageSize);
+  }
+  auto advise = peer.PageOutBatchTo(slots, staging);
+  if (!advise.ok()) {
+    if (advise.status().code() == ErrorCode::kStaleEpoch) {
+      // The server is alive and the slots are still ours — hand them back
+      // and refresh the map; the single-page path (which retries under the
+      // new epoch) takes these pages.
+      for (const uint64_t slot : slots) {
+        peer.ReturnSlot(slot);
+      }
+      NoteStaleEpoch(1, now);
+      return 0;
+    }
+    if (advise.status().code() == ErrorCode::kUnavailable) {
+      return 0;  // Peer died mid-batch; its slots die with it.
+    }
+    return advise.status();
+  }
+  *now = ChargePageBatchTransferAsync(*now, slots.size(), peer_index);
+  HeedAdvice(peer_index, *advise);
+  for (size_t j = 0; j < slots.size(); ++j) {
+    table_[page_ids[indices[j]]] = Location{false, peer_index, slots[j]};
+  }
+  stats_.pageouts += static_cast<int64_t>(slots.size());
+  return slots.size();
 }
 
-Result<TimeNs> NoReliabilityBackend::PlaceBatchByOwner(TimeNs now,
-                                                       std::span<const uint64_t> page_ids,
-                                                       std::span<const uint8_t> data) {
+Result<TimeNs> NoReliabilityBackend::PlaceBatch(TimeNs now, std::span<const uint64_t> page_ids,
+                                                std::span<const uint8_t> data) {
   const TimeNs start = now;
-  // Bucket the run by map owner so each batch frame lands where the ring
-  // says the pages belong. The run is hash-interleaved, so batches are
-  // assembled in a staging buffer rather than sliced out of `data`.
-  std::map<size_t, std::vector<size_t>> by_owner;
+  // One bucket per destination. With a cluster map, each usable owner gets
+  // its own pages (the run is hash-interleaved); pages whose owner is
+  // unusable ride the single-page path below, which falls back exactly like
+  // PlaceAndSend. Without a map the whole run is one bucket whose peer
+  // PickPeer names afresh for every frame.
+  std::map<size_t, std::vector<size_t>> buckets;
   for (size_t i = 0; i < page_ids.size(); ++i) {
-    auto owner = MapOwnerPeer(page_ids[i]);
-    if (owner.ok() && cluster_.peer(*owner).usable()) {
-      by_owner[*owner].push_back(i);
+    size_t dest = kNoPeer;
+    if (has_cluster_map()) {
+      auto owner = MapOwnerPeer(page_ids[i]);
+      if (!owner.ok() || !cluster_.peer(*owner).usable()) {
+        continue;
+      }
+      dest = *owner;
     }
-    // Unusable owner: the page rides the single-page path below, which
-    // falls back exactly like PlaceAndSend.
+    buckets[dest].push_back(i);
   }
   std::vector<bool> placed(page_ids.size(), false);
-  std::vector<uint8_t> staging;
-  for (auto& [peer_index, indices] : by_owner) {
-    ServerPeer& peer = cluster_.peer(peer_index);
+  for (const auto& [owner, indices] : buckets) {
     size_t pos = 0;
-    while (pos < indices.size() && peer.usable()) {
-      std::vector<uint64_t> slots;
-      Status slot_status = OkStatus();
-      while (pos + slots.size() < indices.size() && slots.size() < kMaxBatchPages) {
-        auto slot = TakeSlotOn(peer_index, &now);
-        if (!slot.ok()) {
-          slot_status = slot.status();
+    while (pos < indices.size()) {
+      size_t peer = owner;
+      if (owner == kNoPeer) {
+        if (!cluster_.AnyUsable()) {
           break;
         }
-        slots.push_back(*slot);
-      }
-      if (!slot_status.ok() && slot_status.code() != ErrorCode::kNoSpace &&
-          slot_status.code() != ErrorCode::kUnavailable) {
-        return slot_status;
-      }
-      if (slot_status.code() == ErrorCode::kNoSpace) {
-        peer.set_stopped(true);
-      }
-      if (slots.empty()) {
+        auto pick = PickPeer(&now);
+        if (!pick.ok()) {
+          break;
+        }
+        peer = *pick;
+      } else if (!cluster_.peer(peer).usable()) {
         break;
       }
-      staging.resize(slots.size() * kPageSize);
-      for (size_t j = 0; j < slots.size(); ++j) {
-        std::memcpy(staging.data() + j * kPageSize,
-                    data.data() + indices[pos + j] * kPageSize, kPageSize);
+      auto shipped = ShipBatchFrame(peer, std::span<const size_t>(indices).subspan(pos), page_ids,
+                                    data, &now);
+      if (!shipped.ok()) {
+        return shipped.status();
       }
-      auto advise = peer.PageOutBatchTo(slots, staging);
-      if (!advise.ok()) {
-        if (advise.status().code() == ErrorCode::kStaleEpoch) {
-          // The server is alive and the slots are still ours — hand them
-          // back, refresh the map, and let the single-page path (which
-          // retries under the new epoch) take the rest of this bucket.
-          for (const uint64_t slot : slots) {
-            peer.ReturnSlot(slot);
-          }
-          NoteStaleEpoch(1, &now);
-          break;
-        }
-        if (advise.status().code() == ErrorCode::kUnavailable) {
-          break;  // Peer died mid-batch; its slots die with it.
-        }
-        return advise.status();
+      if (*shipped == 0 && owner != kNoPeer) {
+        break;  // The owner took nothing; its pages go single-page.
       }
-      now = ChargePageBatchTransferAsync(now, slots.size(), peer_index);
-      if (*advise) {
-        peer.set_no_new_extents(true);
+      for (size_t j = pos; j < pos + *shipped; ++j) {
+        placed[indices[j]] = true;
       }
-      for (size_t j = 0; j < slots.size(); ++j) {
-        const size_t i = indices[pos + j];
-        Location& loc = table_[page_ids[i]];
-        loc.on_disk = false;
-        loc.peer = peer_index;
-        loc.slot = slots[j];
-        placed[i] = true;
-      }
-      stats_.pageouts += static_cast<int64_t>(slots.size());
-      pos += slots.size();
+      pos += *shipped;
     }
   }
   stats_.paging_time += now - start;
@@ -362,33 +295,19 @@ Result<TimeNs> NoReliabilityBackend::PageIn(TimeNs now, uint64_t page_id,
 
 Result<uint64_t> NoReliabilityBackend::MigrateStep(size_t peer_index, uint64_t max_pages,
                                                    TimeNs* now) {
-  ServerPeer& source = cluster_.peer(peer_index);
-  if (!source.alive()) {
-    return UnavailableError("cannot migrate from a crashed server");
-  }
-  if (!source.stopped()) {
-    source.set_stopped(true);
-  }
-  std::vector<uint64_t> victims;
-  for (const auto& [page_id, loc] : table_) {
-    if (!loc.on_disk && loc.peer == peer_index) {
-      victims.push_back(page_id);
-      if (victims.size() >= max_pages) {
-        break;
-      }
-    }
-  }
-  PageBuffer buffer;
-  for (const uint64_t page_id : victims) {
-    const Location loc = table_[page_id];
-    // MIGRATE reads the page and frees its slot in one round trip.
-    RMP_RETURN_IF_ERROR(source.MigrateRead(loc.slot, buffer.span()));
-    *now = ChargePageTransfer(*now, peer_index);
-    auto done = PlaceAndSend(*now, page_id, buffer.span());
-    if (!done.ok()) {
-      return done.status();
-    }
-    *now = *done;
+  RMP_RETURN_IF_ERROR(BeginDrain(peer_index));
+  const std::vector<StoredCopy> victims = CopiesOn(peer_index, max_pages);
+  for (const StoredCopy& victim : victims) {
+    // PlaceAndSend records the new home (another server, or the local disk)
+    // only once it acked; a placement that fails leaves the page here.
+    RMP_RETURN_IF_ERROR(MoveCopy(victim, std::nullopt,
+                                 [&](std::span<const uint8_t> page, TimeNs* t) -> Status {
+                                   auto done = PlaceAndSend(*t, victim.page_id, page);
+                                   RMP_RETURN_IF_ERROR(done.status());
+                                   *t = *done;
+                                   return OkStatus();
+                                 },
+                                 now));
   }
   return victims.size();
 }
@@ -398,93 +317,54 @@ Result<uint64_t> NoReliabilityBackend::RebalanceStep(uint64_t max_pages, TimeNs*
     return 0;
   }
   struct Move {
-    uint64_t page_id = 0;
-    size_t from = 0;
-    uint64_t slot = 0;
+    StoredCopy from;
     size_t to = 0;
   };
   std::vector<Move> moves;
-  for (const auto& [page_id, loc] : table_) {
-    if (loc.on_disk) {
-      continue;  // Disk-parked pages drain via DrainDiskToServers.
+  ScanStoredCopies([&](const StoredCopy& copy) {
+    auto owner = MapOwnerPeer(copy.page_id);
+    if (!owner.ok() || *owner == copy.peer) {
+      return true;
     }
-    auto owner = MapOwnerPeer(page_id);
-    if (!owner.ok() || *owner == loc.peer) {
-      continue;
+    if (!cluster_.peer(copy.peer).transport().connected()) {
+      return true;  // Crashed holder: without redundancy there is nothing to move.
     }
-    ServerPeer& holder = cluster_.peer(loc.peer);
-    if (!holder.transport().connected()) {
-      continue;  // Crashed holder: without redundancy there is nothing to move.
+    if (cluster_.peer(*owner).usable()) {
+      moves.push_back({copy, *owner});
     }
-    if (!cluster_.peer(*owner).usable()) {
-      continue;
-    }
-    moves.push_back({page_id, loc.peer, loc.slot, *owner});
-    if (moves.size() >= max_pages) {
-      break;
-    }
-  }
+    return moves.size() < max_pages;
+  });
   uint64_t moved = 0;
-  PageBuffer buffer;
   for (const Move& mv : moves) {
-    // Read without freeing: the old holder keeps the only copy until the new
-    // owner has acked the write, so a crash mid-move never loses the page
-    // (the table still points at whichever server last acked it).
-    Status read = ReliablePageIn(mv.from, mv.slot, buffer.span(), now);
-    if (!read.ok()) {
-      continue;  // Holder hiccup; a later step retries this page.
-    }
-    *now = ChargePageTransfer(*now, mv.from);
-    auto slot = TakeSlotOn(mv.to, now);
-    if (!slot.ok()) {
-      continue;
-    }
-    auto advise = ReliablePageOut(mv.to, *slot, buffer.span(), now);
-    if (!advise.ok()) {
-      cluster_.peer(mv.to).ReturnSlot(*slot);
-      continue;
-    }
-    *now = ChargePageTransferAsync(*now, mv.to);
-    if (*advise) {
-      cluster_.peer(mv.to).set_no_new_extents(true);
-    }
-    // Only now does the table flip: reads keep hitting the old holder until
-    // the new owner holds an acknowledged copy.
-    Location& loc = table_[mv.page_id];
-    loc.on_disk = false;
-    loc.peer = mv.to;
-    loc.slot = *slot;
-    // Best-effort free of the old copy; a missed free costs the old server
-    // capacity, never the client data.
-    (void)ReliableFree(mv.from, mv.slot, 1, now);
-    ++moved;
+    // The old holder keeps the only copy until the owner acked the write,
+    // so a crash mid-move never loses the page. A failed move is skipped; a
+    // later step retries it.
+    const Status status = MoveCopy(mv.from, std::nullopt,
+                                   [&](std::span<const uint8_t> page, TimeNs* t) -> Status {
+                                     auto at = StoreOnPeer(mv.to, page, t);
+                                     RMP_RETURN_IF_ERROR(at.status());
+                                     table_[mv.from.page_id] = Location{false, at->peer, at->slot};
+                                     return OkStatus();
+                                   },
+                                   now);
+    moved += status.ok() ? 1 : 0;
   }
   return moved;
 }
 
-uint64_t NoReliabilityBackend::PagesOn(size_t peer) const {
-  uint64_t count = 0;
+void NoReliabilityBackend::ScanStoredCopies(const CopyVisitor& visit) const {
   for (const auto& [page_id, loc] : table_) {
-    if (!loc.on_disk && loc.peer == peer) {
-      ++count;
+    // Disk-parked pages hold no server slot; DrainDiskToServers moves them.
+    if (!loc.on_disk && !visit(StoredCopy{page_id, loc.peer, loc.slot})) {
+      return;
     }
   }
-  return count;
 }
 
 Status NoReliabilityBackend::MigrateFrom(size_t peer_index, TimeNs* now) {
-  uint64_t total = 0;
-  while (true) {
-    auto moved = MigrateStep(peer_index, kMaxBatchPages, now);
-    if (!moved.ok()) {
-      return moved.status();
-    }
-    if (*moved == 0) {
-      break;
-    }
-    total += *moved;
-  }
-  RMP_LOG(kInfo) << "migrated " << total << " pages off " << cluster_.peer(peer_index).name();
+  auto total = RunSteps([&] { return MigrateStep(peer_index, kMaxBatchPages, now); });
+  RMP_RETURN_IF_ERROR(total.status());
+  RMP_LOG(kInfo) << "migrated " << *total << " pages off " << cluster_.peer(peer_index).name();
   return OkStatus();
 }
 

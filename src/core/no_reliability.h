@@ -49,17 +49,16 @@ class NoReliabilityBackend final : public RemotePagerBase {
   Status MigrateFrom(size_t peer_index, TimeNs* now);
 
   // Overload drain quantum for the RepairCoordinator: moves up to
-  // `max_pages` pages off the (live) peer using MIGRATE round trips;
-  // 0 = the peer no longer holds any page.
+  // `max_pages` pages off the (live) peer to other servers or the local
+  // disk, each through MoveCopy; a placement that fails returns its error
+  // with the page still on the peer. 0 = the peer no longer holds any page.
   Result<uint64_t> MigrateStep(size_t peer, uint64_t max_pages, TimeNs* now) override;
 
   // Elastic-membership rebalance quantum (DESIGN.md §16): moves pages whose
-  // holder disagrees with the adopted map onto their map owner, read-then-
-  // write-then-free so the page always has a live copy. 0 = placement
-  // matches the map (or nothing actionable right now).
+  // holder disagrees with the adopted map onto their map owner through
+  // MoveCopy. A move that fails is skipped and retried by a later step.
+  // 0 = placement matches the map (or nothing actionable right now).
   Result<uint64_t> RebalanceStep(uint64_t max_pages, TimeNs* now) override;
-
-  uint64_t PagesOn(size_t peer) const override;
 
   // Replicates disk-parked pages back to servers with free memory (§2.1:
   // "the client periodically checks the memory load of all possible remote
@@ -75,21 +74,25 @@ class NoReliabilityBackend final : public RemotePagerBase {
     uint64_t slot = 0;
   };
 
-  // Places a fresh or relocating page on some usable server, allocating a
-  // slot; falls back to disk. Performs the actual transfer.
+  void ScanStoredCopies(const CopyVisitor& visit) const override;
+
+  // Places a fresh or relocating page with the fresh-slot write (map owner
+  // first, then most-free) and records it; falls back to disk.
   Result<TimeNs> PlaceAndSend(TimeNs now, uint64_t page_id, std::span<const uint8_t> data);
 
-  // Places a run of fresh pages with batched writes: takes as many slots as
-  // each picked peer will grant and ships them in one PAGEOUT_BATCH frame;
-  // pages no server takes ride the single-page path (and its disk fallback).
+  // Places a run of fresh pages with batched writes, one bucket per
+  // destination: the map owner's pages when a map is adopted, otherwise the
+  // whole run to whichever peer PickPeer names per frame. Pages no server
+  // takes ride the single-page path (and its disk fallback).
   Result<TimeNs> PlaceBatch(TimeNs now, std::span<const uint64_t> page_ids,
                             std::span<const uint8_t> data);
 
-  // Map-aware PlaceBatch: buckets the run by consistent-hash owner and ships
-  // each bucket as batch frames to its owner; pages whose owner is unusable
-  // ride the single-page path (which falls back like PlaceAndSend).
-  Result<TimeNs> PlaceBatchByOwner(TimeNs now, std::span<const uint64_t> page_ids,
-                                   std::span<const uint8_t> data);
+  // Ships the pages at `indices` (into page_ids/data) to `peer` in one
+  // PAGEOUT_BATCH frame, as many as the peer grants slots for, and records
+  // them. Returns how many it placed; 0 when the peer took none.
+  Result<size_t> ShipBatchFrame(size_t peer, std::span<const size_t> indices,
+                                std::span<const uint64_t> page_ids,
+                                std::span<const uint8_t> data, TimeNs* now);
 
   Result<TimeNs> SendToDisk(TimeNs now, uint64_t page_id, std::span<const uint8_t> data);
 

@@ -219,50 +219,31 @@ Status ParityLoggingBackend::FlushParity(TimeNs* now) {
 
 Status ParityLoggingBackend::PlacePage(uint64_t page_id, std::span<const uint8_t> data,
                                        TimeNs* now) {
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    auto pick = PickDataPeer(now);
-    if (!pick.ok()) {
-      if (pick.status().code() == ErrorCode::kNoSpace && !in_gc_) {
-        RMP_RETURN_IF_ERROR(GarbageCollect(now));
-        continue;
-      }
-      return pick.status();
+  auto placed = WriteFreshSlot(data, 8, [&](TimeNs* t) -> Result<size_t> {
+    auto pick = PickDataPeer(t);
+    if (!pick.ok() && pick.status().code() == ErrorCode::kNoSpace && !in_gc_) {
+      // Every data server denied: reclaim, and spend this attempt on it.
+      RMP_RETURN_IF_ERROR(GarbageCollect(t));
+      return kPickAgain;
     }
-    const size_t peer_index = *pick;
-    ServerPeer& peer = cluster_.peer(peer_index);
-    auto slot = TakeSlotOn(peer_index, now);
-    if (!slot.ok()) {
-      if (slot.status().code() == ErrorCode::kNoSpace) {
-        peer.set_stopped(true);
-        continue;
-      }
-      if (IsRetryableError(slot.status())) {
-        continue;
-      }
-      return slot.status();
-    }
-    auto advise = ReliablePageOut(peer_index, *slot, data, now);
-    if (!advise.ok()) {
-      if (IsRetryableError(advise.status())) {
-        continue;  // The placement loop moves on to another server.
-      }
-      return advise.status();
-    }
-    *now = ChargePageTransferAsync(*now, peer_index);
-    if (*advise) {
-      peer.set_no_new_extents(true);
-    }
-    accumulator_.XorWith(data);
-    ParityGroup& open = groups_.at(open_group_id_);
-    open.entries.push_back(GroupEntry{peer_index, *slot, page_id, true});
-    ++open.active_count;
-    table_[page_id] = PageLocation{open_group_id_, open.entries.size() - 1};
-    if (static_cast<int>(open.entries.size()) >= EffectiveGroupSize()) {
-      RMP_RETURN_IF_ERROR(FlushParity(now));
-    }
-    return OkStatus();
+    return pick;
+  }, now);
+  if (!placed.ok()) {
+    return placed.status();
   }
-  return NoSpaceError("remote memory exhausted (consider more overflow memory)");
+  if (!placed->has_value()) {
+    return NoSpaceError("remote memory exhausted (consider more overflow memory)");
+  }
+  const SlotRef at = **placed;
+  accumulator_.XorWith(data);
+  ParityGroup& open = groups_.at(open_group_id_);
+  open.entries.push_back(GroupEntry{at.peer, at.slot, page_id, true});
+  ++open.active_count;
+  table_[page_id] = PageLocation{open_group_id_, open.entries.size() - 1};
+  if (static_cast<int>(open.entries.size()) >= EffectiveGroupSize()) {
+    RMP_RETURN_IF_ERROR(FlushParity(now));
+  }
+  return OkStatus();
 }
 
 Result<TimeNs> ParityLoggingBackend::PageOut(TimeNs now, uint64_t page_id,
@@ -436,15 +417,9 @@ Status ParityLoggingBackend::Recover(size_t peer_index, TimeNs* now) {
   // Unbounded budget: one chunk dissolves every affected group before any
   // re-homing, which (unlike incremental chunks) frees all survivor slots
   // up front — the legacy behavior tight-capacity callers rely on.
-  while (true) {
-    auto done = RepairStep(peer_index, std::numeric_limits<uint64_t>::max(), now);
-    if (!done.ok()) {
-      return done.status();
-    }
-    if (*done == 0) {
-      return OkStatus();
-    }
-  }
+  return RunSteps([&] {
+           return RepairStep(peer_index, std::numeric_limits<uint64_t>::max(), now);
+         }).status();
 }
 
 Result<uint64_t> ParityLoggingBackend::RepairStep(size_t peer, uint64_t max_pages, TimeNs* now) {
@@ -693,42 +668,36 @@ Result<uint64_t> ParityLoggingBackend::MigrateStep(size_t peer, uint64_t max_pag
   if (peer == parity_peer_) {
     return 0;  // The parity server's role is fixed; its ADVISE_STOP is ignored.
   }
-  ServerPeer& source = cluster_.peer(peer);
-  if (!source.alive()) {
-    return UnavailableError("cannot migrate from a crashed server");
+  RMP_RETURN_IF_ERROR(BeginDrain(peer));
+  const std::vector<StoredCopy> victims = CopiesOn(peer, max_pages);
+  PageBuffer buffer;
+  for (const StoredCopy& victim : victims) {
+    // A plain read, not a move: the old slot must survive until its group
+    // reclaims, because the group's parity covers those bytes (footnote 3).
+    // The location is looked up afresh: a GC pass run by an earlier victim's
+    // placement may have re-homed this page already.
+    const PageLocation loc = table_.at(victim.page_id);
+    const GroupEntry entry = groups_.at(loc.group_id).entries[loc.entry_index];
+    RMP_RETURN_IF_ERROR(ReliablePageIn(entry.peer, entry.slot, buffer.span(), now));
+    *now = ChargePageTransfer(*now, entry.peer);
+    RetireOldVersion(victim.page_id, now);
+    RMP_RETURN_IF_ERROR(PlacePage(victim.page_id, buffer.span(), now));
   }
-  if (!source.stopped()) {
-    source.set_stopped(true);
-  }
-  std::vector<uint64_t> victims;
+  // 0 = only retired versions remain; their groups reclaim them.
+  return victims.size();
+}
+
+void ParityLoggingBackend::ScanStoredCopies(const CopyVisitor& visit) const {
   for (const auto& [group_id, group] : groups_) {
     for (const GroupEntry& entry : group.entries) {
-      if (entry.active && entry.peer == peer) {
-        victims.push_back(entry.page_id);
-        if (victims.size() >= max_pages) {
-          break;
-        }
+      if (!visit(StoredCopy{entry.page_id, entry.peer, entry.slot, 0, entry.active})) {
+        return;
       }
     }
-    if (victims.size() >= max_pages) {
-      break;
+    if (group.sealed && !visit(StoredCopy{0, parity_peer_, group.parity_slot, 0, false})) {
+      return;
     }
   }
-  if (victims.empty()) {
-    return 0;  // Only retired versions remain; their groups reclaim them.
-  }
-  PageBuffer buffer;
-  for (const uint64_t page_id : victims) {
-    const PageLocation loc = table_.at(page_id);
-    // A plain read, not MIGRATE: the old slot must survive until its group
-    // reclaims, because the group's parity covers those bytes (footnote 3).
-    const uint64_t slot = groups_.at(loc.group_id).entries[loc.entry_index].slot;
-    RMP_RETURN_IF_ERROR(ReliablePageIn(peer, slot, buffer.span(), now));
-    *now = ChargePageTransfer(*now, peer);
-    RetireOldVersion(page_id, now);
-    RMP_RETURN_IF_ERROR(PlacePage(page_id, buffer.span(), now));
-  }
-  return victims.size();
 }
 
 std::vector<ParityLoggingBackend::GroupSnapshot> ParityLoggingBackend::Snapshot() const {

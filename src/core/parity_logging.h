@@ -129,9 +129,11 @@ class ParityLoggingBackend final : public RemotePagerBase {
   // group when it empties.
   void RetireOldVersion(uint64_t page_id, TimeNs* now);
 
-  // Sends `data` to a data server not yet used by the open group and logs it
-  // into the open group + accumulator. The core pageout step, shared with GC
-  // and recovery re-placement.
+  void ScanStoredCopies(const CopyVisitor& visit) const override;
+
+  // Sends `data` with the fresh-slot write to a data server not yet used by
+  // the open group and logs it into the open group + accumulator. The core
+  // pageout step, shared with GC and recovery re-placement.
   Status PlacePage(uint64_t page_id, std::span<const uint8_t> data, TimeNs* now);
 
   // Ships the accumulator to the parity server and seals the open group.

@@ -118,22 +118,32 @@ void RemotePagerBase::ChargeBackoff(int attempt, TimeNs* now) {
   ++stats_.retries;
 }
 
-Status RemotePagerBase::ReliablePageIn(size_t peer_index, uint64_t slot, std::span<uint8_t> out,
-                                       TimeNs* now) {
+namespace {
+
+const Status& StatusOf(const Status& status) { return status; }
+template <typename T>
+const Status& StatusOf(const Result<T>& result) {
+  return result.status();
+}
+
+}  // namespace
+
+template <typename Op>
+auto RemotePagerBase::WithRetries(size_t peer_index, TimeNs* now, const Op& op) {
   ServerPeer& peer = cluster_.peer(peer_index);
-  Status status = OkStatus();
   for (int attempt = 1;; ++attempt) {
-    status = peer.PageInFrom(slot, out);
+    auto result = op(peer);
+    const Status& status = StatusOf(result);
     if (status.code() == ErrorCode::kStaleEpoch && attempt < params_.retry.max_attempts) {
       // The server holds a newer map than we stamped. Refresh and retry the
       // same slot: during a handoff the old owner keeps serving reads until
-      // the new owner acked the last page, so the read stays answerable.
+      // the new owner acked the last page, so the op stays answerable.
       NoteStaleEpoch(attempt, now);
       continue;
     }
     if (status.ok() || attempt >= params_.retry.max_attempts ||
         !ShouldRetry(peer_index, status)) {
-      return status;
+      return result;
     }
     // The RPC helper marked the peer dead, but its connection is up: only a
     // message was lost. Restore liveness and try again after backing off.
@@ -142,42 +152,21 @@ Status RemotePagerBase::ReliablePageIn(size_t peer_index, uint64_t slot, std::sp
   }
 }
 
+Status RemotePagerBase::ReliablePageIn(size_t peer_index, uint64_t slot, std::span<uint8_t> out,
+                                       TimeNs* now) {
+  return WithRetries(peer_index, now, [&](ServerPeer& peer) { return peer.PageInFrom(slot, out); });
+}
+
 Result<bool> RemotePagerBase::ReliablePageOut(size_t peer_index, uint64_t slot,
                                               std::span<const uint8_t> data, TimeNs* now) {
-  ServerPeer& peer = cluster_.peer(peer_index);
-  for (int attempt = 1;; ++attempt) {
-    auto advise = peer.PageOutTo(slot, data);
-    if (advise.status().code() == ErrorCode::kStaleEpoch &&
-        attempt < params_.retry.max_attempts) {
-      NoteStaleEpoch(attempt, now);
-      continue;
-    }
-    if (advise.ok() || attempt >= params_.retry.max_attempts ||
-        !ShouldRetry(peer_index, advise.status())) {
-      return advise;
-    }
-    peer.mark_alive();
-    ChargeBackoff(attempt, now);
-  }
+  return WithRetries(peer_index, now,
+                     [&](ServerPeer& peer) { return peer.PageOutTo(slot, data); });
 }
 
 Status RemotePagerBase::ReliableFree(size_t peer_index, uint64_t first_slot, uint64_t count,
                                      TimeNs* now) {
-  ServerPeer& peer = cluster_.peer(peer_index);
-  Status status = OkStatus();
-  for (int attempt = 1;; ++attempt) {
-    status = peer.FreeOn(first_slot, count);
-    if (status.code() == ErrorCode::kStaleEpoch && attempt < params_.retry.max_attempts) {
-      NoteStaleEpoch(attempt, now);
-      continue;
-    }
-    if (status.ok() || attempt >= params_.retry.max_attempts ||
-        !ShouldRetry(peer_index, status)) {
-      return status;
-    }
-    peer.mark_alive();
-    ChargeBackoff(attempt, now);
-  }
+  return WithRetries(peer_index, now,
+                     [&](ServerPeer& peer) { return peer.FreeOn(first_slot, count); });
 }
 
 Status RemotePagerBase::BatchFetch(std::span<const PageWant> wants, std::vector<PageBuffer>* out,
@@ -272,31 +261,145 @@ Result<size_t> RemotePagerBase::PickPeer(TimeNs* now) {
   return cluster_.MostPromising(refresh);
 }
 
-Result<uint64_t> RemotePagerBase::RepairStep(size_t peer, uint64_t max_pages, TimeNs* now) {
-  // A policy without redundancy has nothing to restore: the coordinator's
-  // job completes immediately and reads surface DATA_LOSS as before.
-  (void)peer;
-  (void)max_pages;
-  (void)now;
-  return 0;
+// A policy without redundancy has nothing to restore: the coordinator's job
+// completes immediately and reads surface DATA_LOSS as before. Likewise for
+// drains and rebalances a policy does not implement.
+Result<uint64_t> RemotePagerBase::RepairStep(size_t, uint64_t, TimeNs*) { return 0; }
+Result<uint64_t> RemotePagerBase::MigrateStep(size_t, uint64_t, TimeNs*) { return 0; }
+Result<uint64_t> RemotePagerBase::RebalanceStep(uint64_t, TimeNs*) { return 0; }
+
+Result<uint64_t> RemotePagerBase::RunSteps(const std::function<Result<uint64_t>()>& step) {
+  uint64_t total = 0;
+  while (true) {
+    auto done = step();
+    if (!done.ok()) {
+      return done.status();
+    }
+    if (*done == 0) {
+      return total;
+    }
+    total += *done;
+  }
 }
 
-Result<uint64_t> RemotePagerBase::MigrateStep(size_t peer, uint64_t max_pages, TimeNs* now) {
-  (void)peer;
-  (void)max_pages;
-  (void)now;
-  return 0;
-}
-
-Result<uint64_t> RemotePagerBase::RebalanceStep(uint64_t max_pages, TimeNs* now) {
-  (void)max_pages;
-  (void)now;
-  return 0;
+Status RemotePagerBase::BeginDrain(size_t peer) {
+  ServerPeer& source = cluster_.peer(peer);
+  if (!source.alive()) {
+    return UnavailableError("cannot drain " + source.name() + ": it crashed");
+  }
+  // Stop placements first so the drain converges and never re-targets the
+  // server being drained.
+  source.set_stopped(true);
+  return OkStatus();
 }
 
 uint64_t RemotePagerBase::PagesOn(size_t peer) const {
-  (void)peer;
-  return 0;
+  uint64_t count = 0;
+  ScanStoredCopies([&](const StoredCopy& copy) {
+    count += copy.peer == peer ? 1 : 0;
+    return true;
+  });
+  return count;
+}
+
+std::vector<RemotePagerBase::StoredCopy> RemotePagerBase::CopiesOn(size_t peer,
+                                                                   uint64_t max_copies) const {
+  std::vector<StoredCopy> copies;
+  if (max_copies == 0) {
+    return copies;
+  }
+  ScanStoredCopies([&](const StoredCopy& copy) {
+    if (copy.live && copy.peer == peer) {
+      copies.push_back(copy);
+    }
+    return copies.size() < max_copies;
+  });
+  return copies;
+}
+
+void RemotePagerBase::HeedAdvice(size_t peer, bool advise_stop) {
+  if (advise_stop) {
+    cluster_.peer(peer).set_no_new_extents(true);
+  }
+}
+
+Status RemotePagerBase::StoreAt(SlotRef at, std::span<const uint8_t> data, TimeNs* now) {
+  auto advise = ReliablePageOut(at.peer, at.slot, data, now);
+  if (!advise.ok()) {
+    return advise.status();
+  }
+  *now = ChargePageTransferAsync(*now, at.peer);
+  HeedAdvice(at.peer, *advise);
+  return OkStatus();
+}
+
+Result<RemotePagerBase::SlotRef> RemotePagerBase::StoreOnPeer(size_t peer,
+                                                              std::span<const uint8_t> data,
+                                                              TimeNs* now) {
+  auto slot = TakeSlotOn(peer, now);
+  if (!slot.ok()) {
+    return slot.status();
+  }
+  const SlotRef at{peer, *slot};
+  if (!data.empty()) {
+    const Status stored = StoreAt(at, data, now);
+    if (!stored.ok()) {
+      cluster_.peer(peer).ReturnSlot(*slot);
+      return stored;
+    }
+  }
+  return at;
+}
+
+Result<std::optional<RemotePagerBase::SlotRef>> RemotePagerBase::WriteFreshSlot(
+    std::span<const uint8_t> data, size_t max_attempts, const PeerPicker& pick, TimeNs* now) {
+  for (size_t attempt = 0; attempt < max_attempts; ++attempt) {
+    auto peer = pick(now);
+    if (!peer.ok()) {
+      return peer.status();
+    }
+    if (*peer == kNoPeer) {
+      break;
+    }
+    if (*peer == kPickAgain) {
+      continue;
+    }
+    auto stored = StoreOnPeer(*peer, data, now);
+    if (stored.ok()) {
+      return std::optional<SlotRef>(*stored);
+    }
+    if (stored.status().code() == ErrorCode::kNoSpace) {
+      // Denied (§2.1): stop placing here; the search moves on.
+      cluster_.peer(*peer).set_stopped(true);
+      continue;
+    }
+    if (!IsRetryableError(stored.status())) {
+      return stored.status();
+    }
+    // The peer died under the write (the RPC layer marked it dead); the
+    // next pick moves on.
+  }
+  return std::optional<SlotRef>();
+}
+
+Status RemotePagerBase::MoveCopy(const StoredCopy& from, const std::optional<SlotRef>& fallback,
+                                 const Relocate& relocate, TimeNs* now) {
+  PageBuffer page;
+  Status read = ReliablePageIn(from.peer, from.slot, page.span(), now);
+  size_t source = from.peer;
+  if (!read.ok() && fallback.has_value() && IsRetryableError(read)) {
+    ServerPeer& holder = cluster_.peer(from.peer);
+    if (holder.transport().connected()) {
+      holder.mark_alive();  // Only a message was lost; the holder lives on.
+    }
+    read = ReliablePageIn(fallback->peer, fallback->slot, page.span(), now);
+    source = fallback->peer;
+  }
+  RMP_RETURN_IF_ERROR(read);
+  *now = ChargePageTransfer(*now, source);
+  RMP_RETURN_IF_ERROR(relocate(page.span(), now));
+  (void)ReliableFree(from.peer, from.slot, 1, now);
+  return OkStatus();
 }
 
 void RemotePagerBase::AdoptLocal(const ClusterMap& map) {

@@ -5,7 +5,9 @@
 #ifndef SRC_CORE_REMOTE_PAGER_H_
 #define SRC_CORE_REMOTE_PAGER_H_
 
+#include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/core/cluster.h"
@@ -106,16 +108,17 @@ class RemotePagerBase : public PagingBackend {
   // --- Elastic membership (DESIGN.md §16) ----------------------------------
 
   // Moves up to `max_pages` pages whose placement disagrees with the adopted
-  // cluster map onto their map owners (read from the old holder, write to the
-  // new owner, free the old copy — in that order, so a crash mid-move never
-  // leaves the page without a live source). Returns pages moved; 0 = the
-  // placement already matches the map. Default: nothing to rebalance.
+  // cluster map onto their map owners, each through MoveCopy so a crash
+  // mid-move never leaves the page without a live source. Returns pages
+  // moved; 0 = the placement already matches the map. Default: nothing to
+  // rebalance.
   virtual Result<uint64_t> RebalanceStep(uint64_t max_pages, TimeNs* now);
 
-  // Pages the policy currently stores on `peer` (replica copies count).
-  // Drives decommission completion: a kLeaving member with PagesOn == 0 can
-  // be dropped from the map. Default: 0.
-  virtual uint64_t PagesOn(size_t peer) const;
+  // Slots the policy occupies on `peer`, counted off ScanStoredCopies:
+  // replica copies, retired parity-group members and parity pages all count,
+  // because each still holds a server slot. Drives decommission completion:
+  // a kLeaving member with PagesOn == 0 can be dropped from the map.
+  uint64_t PagesOn(size_t peer) const;
 
   // Adopts `map` when it is newer than the current one: records it, stamps
   // every peer's epoch (so subsequent data ops carry it in `aux`), and lets
@@ -209,11 +212,84 @@ class RemotePagerBase : public PagingBackend {
   // control exchange against *now) when the local pool is dry.
   Result<uint64_t> TakeSlotOn(size_t i, TimeNs* now);
 
-  // One page to read: its holding peer and the slot it occupies there.
-  struct PageWant {
+  // --- Placement and move engine --------------------------------------------
+  // Every policy places pages the same way; only its redundancy rules differ
+  // (which peers may hold a copy, how many copies, parity bookkeeping), and
+  // those live in the pickers and table callbacks it hands these helpers.
+
+  // A server slot holding (or about to hold) one copy of a page.
+  struct SlotRef {
     size_t peer = 0;
     uint64_t slot = 0;
   };
+
+  // Turns an ADVISE_STOP on a write ack into no_new_extents: the peer's
+  // already-granted slots stay usable, but it is asked for no more (§2.1).
+  // Parity writes never call this; see ParityLoggingBackend::JoinParityFlush.
+  void HeedAdvice(size_t peer, bool advise_stop);
+
+  // Writes `data` to a slot the page already owns: ReliablePageOut, the async
+  // transfer charge, then HeedAdvice.
+  Status StoreAt(SlotRef at, std::span<const uint8_t> data, TimeNs* now);
+
+  // Takes a slot on `peer` and StoreAt's `data` there. A failed write hands
+  // the slot back to the peer's pool (a peer that restarts drops its pool, a
+  // healed one reuses the slot). Empty `data` only takes the slot.
+  Result<SlotRef> StoreOnPeer(size_t peer, std::span<const uint8_t> data, TimeNs* now);
+
+  // Names the peer for one WriteFreshSlot attempt. kNoPeer ends the search,
+  // kPickAgain spends the attempt without a write, an error is returned.
+  using PeerPicker = std::function<Result<size_t>(TimeNs* now)>;
+  static constexpr size_t kNoPeer = ~size_t{0};
+  static constexpr size_t kPickAgain = kNoPeer - 1;
+
+  // The fresh-slot write every policy places pages with: up to
+  // `max_attempts` times, asks `pick` for a peer and StoreOnPeer's `data`
+  // there. kNoSpace stops that peer and a retryable error moves on to the
+  // next pick; any other error is returned. std::nullopt means no peer took
+  // the page (the picker ran dry or the attempts ran out), and the caller
+  // falls back its own way. Empty `data` reserves a slot without writing.
+  Result<std::optional<SlotRef>> WriteFreshSlot(std::span<const uint8_t> data,
+                                                size_t max_attempts, const PeerPicker& pick,
+                                                TimeNs* now);
+
+  // One copy of a page as a policy's table records it. `live` is false for
+  // slots that hold no current page version yet occupy the server (retired
+  // parity-group members, parity pages).
+  struct StoredCopy {
+    uint64_t page_id = 0;
+    size_t peer = 0;
+    uint64_t slot = 0;
+    int copy = 0;  // Which of the page's copies (a mirror's replica index).
+    bool live = true;
+  };
+  using CopyVisitor = std::function<bool(const StoredCopy&)>;
+
+  // The one stored-copy scan: feeds every copy the policy's table records to
+  // `visit`, in table order, until `visit` returns false. PagesOn and
+  // CopiesOn derive from it.
+  virtual void ScanStoredCopies(const CopyVisitor& visit) const = 0;
+
+  // Up to `max_copies` live copies on `peer`, in scan order: the victim list
+  // of a migrate, repair or drain step.
+  std::vector<StoredCopy> CopiesOn(size_t peer, uint64_t max_copies) const;
+
+  // Writes a moved page to its new home, then points the table at it.
+  using Relocate = std::function<Status(std::span<const uint8_t> page, TimeNs* now)>;
+
+  // One page move in the zero-loss order (DESIGN.md §16): read the old copy
+  // `from` — or, when it does not answer, the `fallback` copy — then
+  // `relocate` (write the new slot, flip the table), then free the old slot
+  // best-effort: a missed free costs the old server capacity, never the
+  // page. On a read or relocate error the table and the old copy are left
+  // as they were and the error is returned; a non-retryable read error skips
+  // the fallback. A holder that failed the read but is still connected (only
+  // a message was lost) is marked alive again, as ShouldRetry would.
+  Status MoveCopy(const StoredCopy& from, const std::optional<SlotRef>& fallback,
+                  const Relocate& relocate, TimeNs* now);
+
+  // One page to read: its holding peer and the slot it occupies there.
+  using PageWant = SlotRef;
 
   // Fetches many stored pages with batched PAGEIN_BATCH RPCs: wants are
   // grouped by peer, chunked at kMaxBatchPages, and every chunk is started
@@ -236,6 +312,15 @@ class RemotePagerBase : public PagingBackend {
   // FreeOn with the shared retry taxonomy (transient errors, STALE_EPOCH).
   Status ReliableFree(size_t peer_index, uint64_t first_slot, uint64_t count, TimeNs* now);
 
+  // Calls `step` until it reports 0 pages left or fails; returns the pages
+  // processed. Turns a RepairStep/MigrateStep quantum into a one-shot
+  // Recover/MigrateFrom.
+  static Result<uint64_t> RunSteps(const std::function<Result<uint64_t>()>& step);
+
+  // Opens a MigrateStep: refuses a crashed `peer` (UNAVAILABLE) and stops
+  // placing new pages on a live one, so the drain converges.
+  Status BeginDrain(size_t peer);
+
   // Reacts to a STALE_EPOCH denial: counts it, refreshes the map, and
   // charges one backoff interval before the caller retries.
   void NoteStaleEpoch(int attempt, TimeNs* now);
@@ -256,6 +341,13 @@ class RemotePagerBase : public PagingBackend {
   SloTracker slo_;  // Declared after metrics_ (its gauges live there).
 
  private:
+  // The shared retry loop of the Reliable* RPCs: runs `op(peer)` until it
+  // succeeds, fails for good, or runs out of attempts. A STALE_EPOCH denial
+  // refreshes the map first; a transient loss on a still-connected peer
+  // revives it and backs off.
+  template <typename Op>
+  auto WithRetries(size_t peer_index, TimeNs* now, const Op& op);
+
   // Installs `map` locally: records it and lets it drive peer epoch and
   // placement state. Does not publish.
   void AdoptLocal(const ClusterMap& map);

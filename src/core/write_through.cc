@@ -1,5 +1,6 @@
 #include "src/core/write_through.h"
 
+#include <limits>
 #include <vector>
 
 #include "src/util/logging.h"
@@ -12,56 +13,32 @@ Result<TimeNs> WriteThroughBackend::SendRemote(TimeNs now, uint64_t page_id,
   if (loc.remote_valid) {
     ServerPeer& peer = cluster_.peer(loc.peer);
     if (peer.alive() || peer.transport().connected()) {
-      auto advise = ReliablePageOut(loc.peer, loc.slot, data, &now);
-      if (advise.ok()) {
-        now = ChargePageTransferAsync(now, loc.peer);
-        if (*advise) {
-          peer.set_no_new_extents(true);
-        }
+      const Status stored = StoreAt({loc.peer, loc.slot}, data, &now);
+      if (stored.ok()) {
         return now;
       }
-      if (!IsRetryableError(advise.status())) {
-        return advise.status();
+      if (!IsRetryableError(stored)) {
+        return stored;
       }
     }
     loc.remote_valid = false;
   }
-  while (cluster_.AnyUsable()) {
-    auto pick = PickPeer(&now);
-    if (!pick.ok()) {
-      break;
-    }
-    const size_t peer_index = *pick;
-    ServerPeer& peer = cluster_.peer(peer_index);
-    auto slot = TakeSlotOn(peer_index, &now);
-    if (!slot.ok()) {
-      if (slot.status().code() == ErrorCode::kNoSpace) {
-        peer.set_stopped(true);
-        continue;
-      }
-      if (IsRetryableError(slot.status())) {
-        continue;
-      }
-      return slot.status();
-    }
-    auto advise = ReliablePageOut(peer_index, *slot, data, &now);
-    if (!advise.ok()) {
-      if (IsRetryableError(advise.status())) {
-        continue;
-      }
-      return advise.status();
-    }
-    now = ChargePageTransferAsync(now, peer_index);
-    if (*advise) {
-      peer.set_no_new_extents(true);
-    }
-    loc.remote_valid = true;
-    loc.peer = peer_index;
-    loc.slot = *slot;
-    return now;
+  auto placed = WriteFreshSlot(data, std::numeric_limits<size_t>::max(),
+                               [&](TimeNs* t) -> Result<size_t> {
+                                 if (!cluster_.AnyUsable()) {
+                                   return kNoPeer;
+                                 }
+                                 return PickPeer(t).value_or(kNoPeer);
+                               },
+                               &now);
+  if (!placed.ok()) {
+    return placed.status();
   }
-  // No server available: the disk copy alone still makes the write durable;
-  // reads will come from disk until Recover()/a later pageout re-uploads.
+  if (placed->has_value()) {
+    loc = Location{true, (*placed)->peer, (*placed)->slot};
+  }
+  // With no server available the disk copy alone still makes the write
+  // durable; reads come from disk until Recover()/a later pageout re-uploads.
   return now;
 }
 
@@ -132,17 +109,10 @@ Result<TimeNs> WriteThroughBackend::PageIn(TimeNs now, uint64_t page_id, std::sp
 }
 
 Result<uint64_t> WriteThroughBackend::RepairStep(size_t peer, uint64_t max_pages, TimeNs* now) {
-  std::vector<uint64_t> lost;
-  for (const auto& [page_id, loc] : table_) {
-    if (loc.remote_valid && loc.peer == peer) {
-      lost.push_back(page_id);
-      if (lost.size() >= max_pages) {
-        break;
-      }
-    }
-  }
+  const std::vector<StoredCopy> lost = CopiesOn(peer, max_pages);
   PageBuffer buffer;
-  for (const uint64_t page_id : lost) {
+  for (const StoredCopy& copy : lost) {
+    const uint64_t page_id = copy.page_id;
     // Invalidate first: SendRemote re-places instead of rewriting the dead
     // slot, and a page that finds no server stays disk-only (durable) and
     // is not re-discovered by the scan above.
@@ -162,19 +132,18 @@ Result<uint64_t> WriteThroughBackend::RepairStep(size_t peer, uint64_t max_pages
   return lost.size();
 }
 
-Status WriteThroughBackend::Recover(size_t peer_index, TimeNs* now) {
-  uint64_t total = 0;
-  while (true) {
-    auto done = RepairStep(peer_index, kMaxBatchPages, now);
-    if (!done.ok()) {
-      return done.status();
+void WriteThroughBackend::ScanStoredCopies(const CopyVisitor& visit) const {
+  for (const auto& [page_id, loc] : table_) {
+    if (loc.remote_valid && !visit(StoredCopy{page_id, loc.peer, loc.slot})) {
+      return;
     }
-    if (*done == 0) {
-      break;
-    }
-    total += *done;
   }
-  RMP_LOG(kInfo) << "write-through: re-uploaded " << total << " pages after crash of peer "
+}
+
+Status WriteThroughBackend::Recover(size_t peer_index, TimeNs* now) {
+  auto total = RunSteps([&] { return RepairStep(peer_index, kMaxBatchPages, now); });
+  RMP_RETURN_IF_ERROR(total.status());
+  RMP_LOG(kInfo) << "write-through: re-uploaded " << *total << " pages after crash of peer "
                  << peer_index;
   return OkStatus();
 }

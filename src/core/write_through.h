@@ -44,6 +44,8 @@ class WriteThroughBackend final : public RemotePagerBase {
   Result<uint64_t> RepairStep(size_t peer, uint64_t max_pages, TimeNs* now) override;
 
  private:
+  void ScanStoredCopies(const CopyVisitor& visit) const override;
+
   struct Location {
     bool remote_valid = false;
     size_t peer = 0;

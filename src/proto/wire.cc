@@ -46,9 +46,14 @@ uint64_t GetU64(const uint8_t* p) {
   return v;
 }
 
+// The unassigned type numbers of the retired MIGRATE pair (see wire.h).
+constexpr uint8_t kRetiredTypeFirst = 24;
+constexpr uint8_t kRetiredTypeLast = 25;
+
 bool ValidType(uint8_t t) {
   return t >= static_cast<uint8_t>(MessageType::kAllocRequest) &&
-         t <= static_cast<uint8_t>(MessageType::kEventsReply);
+         t <= static_cast<uint8_t>(MessageType::kEventsReply) &&
+         (t < kRetiredTypeFirst || t > kRetiredTypeLast);
 }
 
 }  // namespace
@@ -101,10 +106,6 @@ std::string_view MessageTypeName(MessageType type) {
       return "HEARTBEAT";
     case MessageType::kHeartbeatAck:
       return "HEARTBEAT_ACK";
-    case MessageType::kMigrate:
-      return "MIGRATE";
-    case MessageType::kMigrateReply:
-      return "MIGRATE_REPLY";
     case MessageType::kStatsQuery:
       return "STATS_QUERY";
     case MessageType::kStatsReply:
@@ -370,25 +371,6 @@ Message MakeHeartbeatAck(uint64_t request_id, uint64_t incarnation, uint64_t fre
   if (advise_stop) {
     m.flags |= kFlagAdviseStop;
   }
-  return m;
-}
-
-Message MakeMigrate(uint64_t request_id, uint64_t slot) {
-  Message m;
-  m.type = MessageType::kMigrate;
-  m.request_id = request_id;
-  m.slot = slot;
-  return m;
-}
-
-Message MakeMigrateReply(uint64_t request_id, uint64_t slot, std::span<const uint8_t> data,
-                         ErrorCode status) {
-  Message m;
-  m.type = MessageType::kMigrateReply;
-  m.request_id = request_id;
-  m.slot = slot;
-  m.status = static_cast<uint32_t>(status);
-  m.payload.assign(data.begin(), data.end());
   return m;
 }
 

@@ -88,11 +88,8 @@ enum class MessageType : uint8_t {
   // ADVISE_STOP piggybacks on the ack flags like it does on pageout acks.
   kHeartbeat = 22,
   kHeartbeatAck = 23,  // slot = incarnation, count = free pages, aux = total.
-  // MIGRATE reads a page and frees its slot in one round trip: the read half
-  // of the §2.1 drain path costs one protocol crossing instead of a PAGEIN
-  // followed by a FREE_REQUEST.
-  kMigrate = 24,       // slot.
-  kMigrateReply = 25,  // slot + payload; the slot is freed server-side on OK.
+  // 24 and 25 stay unassigned and decode rejects them, so a frame from a
+  // peer that still sends the retired MIGRATE pair fails closed.
   // Live introspection (DESIGN.md §12): STATS pulls the server's metrics
   // registry as a JSON snapshot, TRACE_DUMP its trace ring. Both replies
   // carry the JSON document as the payload; `count` is the document length
@@ -256,9 +253,6 @@ Message MakeAuthReply(uint64_t request_id, ErrorCode status);
 Message MakeHeartbeat(uint64_t request_id);
 Message MakeHeartbeatAck(uint64_t request_id, uint64_t incarnation, uint64_t free_pages,
                          uint64_t total_pages, bool advise_stop);
-Message MakeMigrate(uint64_t request_id, uint64_t slot);
-Message MakeMigrateReply(uint64_t request_id, uint64_t slot, std::span<const uint8_t> data,
-                         ErrorCode status);
 Message MakeStatsQuery(uint64_t request_id);
 Message MakeStatsReply(uint64_t request_id, uint64_t incarnation, std::string_view json);
 // `document` selects what TRACE_DUMP returns (travels in the request `slot`):

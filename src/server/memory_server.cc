@@ -70,8 +70,6 @@ Message RateLimitedReply(const Message& request) {
       return MakePageOutBatchAck(request.request_id, 0, ErrorCode::kResourceExhausted, true);
     case MessageType::kPageInBatch:
       return MakePageInBatchReply(request.request_id, {}, ErrorCode::kResourceExhausted);
-    case MessageType::kMigrate:
-      return MakeMigrateReply(request.request_id, request.slot, {}, ErrorCode::kResourceExhausted);
     case MessageType::kXorMerge: {
       Message reply;
       reply.type = MessageType::kXorMergeAck;
@@ -114,9 +112,6 @@ Message EpochStaleReply(const Message& request, uint64_t epoch) {
     case MessageType::kPageInBatch:
       reply = MakePageInBatchReply(request.request_id, {}, ErrorCode::kStaleEpoch);
       break;
-    case MessageType::kMigrate:
-      reply = MakeMigrateReply(request.request_id, request.slot, {}, ErrorCode::kStaleEpoch);
-      break;
     case MessageType::kXorMerge:
       reply.type = MessageType::kXorMergeAck;
       reply.request_id = request.request_id;
@@ -144,7 +139,6 @@ bool EpochGated(MessageType type) {
     case MessageType::kPageInBatch:
     case MessageType::kDeltaPageOut:
     case MessageType::kXorMerge:
-    case MessageType::kMigrate:
       return true;
     default:
       return false;
@@ -938,21 +932,6 @@ Status MemoryServer::Store(uint64_t slot, std::span<const uint8_t> page) {
   return OkStatus();
 }
 
-Result<PageBuffer> MemoryServer::MigrateOut(uint64_t slot, uint16_t tenant) {
-  // Ownership gate before the Load: a cross-tenant MIGRATE must not even read
-  // the page, let alone free it.
-  RMP_RETURN_IF_ERROR(CheckSlotOwner(slot, tenant));
-  auto page = Load(slot);
-  if (!page.ok()) {
-    return page;
-  }
-  // The pagein counter was already bumped by Load; Free reclaims the slot so
-  // the drained server's donated memory is immediately reusable.
-  RMP_RETURN_IF_ERROR(Free(slot, 1, tenant));
-  stats_.migrations_served.fetch_add(1, std::memory_order_relaxed);
-  return page;
-}
-
 Result<PageBuffer> MemoryServer::Load(uint64_t slot) const {
   ScratchTimer store_timer(&ServerTraceScratch::store_ns);
   if (crashed()) {
@@ -1320,12 +1299,12 @@ bool MemoryServer::AdmitTenant(const Message& request, Message* denial,
   if (tenant == 0) {
     return true;
   }
-  // Classify into a priority lane and a token cost. Lower lanes must leave a
-  // slice of the bucket untouched, so when a tenant runs hot its background
-  // and pageout traffic throttles first and pageins keep landing — the same
+  // Classify into a priority lane and a token cost. The pageout lane must
+  // leave a slice of the bucket untouched, so when a tenant runs hot its
+  // pageout traffic throttles first and pageins keep landing — the same
   // ordering the scheduler's shedding uses (DESIGN.md §15).
   uint64_t cost = 0;
-  int lane = 0;  // 0 = pagein (no reserve), 1 = pageout-ish, 2 = background.
+  bool pageout_lane = false;  // Pageins may spend the bucket to zero.
   switch (request.type) {
     case MessageType::kPageIn:
       cost = 1;
@@ -1337,15 +1316,11 @@ bool MemoryServer::AdmitTenant(const Message& request, Message* denial,
     case MessageType::kDeltaPageOut:
     case MessageType::kXorMerge:
       cost = 1;
-      lane = 1;
+      pageout_lane = true;
       break;
     case MessageType::kPageOutBatch:
       cost = std::clamp<uint64_t>(request.count, 1, kMaxBatchPages);
-      lane = 1;
-      break;
-    case MessageType::kMigrate:
-      cost = 1;
-      lane = 2;
+      pageout_lane = true;
       break;
     default:
       break;  // Control traffic (alloc, heartbeat, stats) is never rate-gated.
@@ -1360,7 +1335,7 @@ bool MemoryServer::AdmitTenant(const Message& request, Message* denial,
   if (cost > 0 && state->quota.rate_pages_per_sec > 0) {
     const TimeNs now = NowNanos();
     const uint64_t burst = state->bucket.burst();
-    const uint64_t reserve = lane == 0 ? 0 : (lane == 1 ? burst / 8 : burst / 2);
+    const uint64_t reserve = pageout_lane ? burst / 8 : 0;
     if (state->bucket.Available(now) < cost + reserve) {
       state->rate_denials->Increment();
       *denial = RateLimitedReply(request);
@@ -1594,13 +1569,6 @@ Message MemoryServer::HandleInternal(const Message& request) {
       std::lock_guard<std::mutex> lock(control_mutex_);
       return MakeHeartbeatAck(request.request_id, incarnation(), FreePagesLocked(),
                               EffectiveCapacityLocked(), AdviseStopLocked());
-    }
-    case MessageType::kMigrate: {
-      auto page = MigrateOut(request.slot, request.tenant);
-      if (!page.ok()) {
-        return MakeMigrateReply(request.request_id, request.slot, {}, page.status().code());
-      }
-      return MakeMigrateReply(request.request_id, request.slot, page->span(), ErrorCode::kOk);
     }
     case MessageType::kStatsQuery: {
       if (crashed()) {

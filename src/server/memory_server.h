@@ -166,7 +166,6 @@ struct MemoryServerStats {
         allocations(*registry->GetCounter("server.allocations")),
         denials(*registry->GetCounter("server.denials")),
         heartbeats_served(*registry->GetCounter("server.heartbeats_served")),
-        migrations_served(*registry->GetCounter("server.migrations_served")),
         stale_epoch_rejections(*registry->GetCounter("server.stale_epoch_rejections")),
         map_publishes(*registry->GetCounter("server.map_publishes")),
         bytes_stored(*registry->GetCounter("server.bytes_stored")),
@@ -193,7 +192,6 @@ struct MemoryServerStats {
   Counter& allocations;
   Counter& denials;
   Counter& heartbeats_served;
-  Counter& migrations_served;  // MIGRATE (read-and-free) ops.
   Counter& stale_epoch_rejections;  // Data ops denied for an old map epoch (§16).
   Counter& map_publishes;           // MAP_PUBLISH frames accepted.
   Counter& bytes_stored;
@@ -254,11 +252,6 @@ class MemoryServer : public MessageHandler {
   Status StoreBatch(std::span<const uint64_t> slots, std::span<const uint8_t> pages,
                     uint64_t* stored_out);
   Status LoadBatch(std::span<const uint64_t> slots, std::vector<uint8_t>* out) const;
-
-  // MIGRATE: returns the page at `slot` and frees the slot in one operation
-  // (the read half of the §2.1 drain path, one round trip on the wire).
-  Result<PageBuffer> MigrateOut(uint64_t slot) { return MigrateOut(slot, 0); }
-  Result<PageBuffer> MigrateOut(uint64_t slot, uint16_t tenant);
 
   // Basic-parity primitives (§2.2 "Parity"): the data server computes
   // old XOR new while storing, the parity server folds a delta into the
@@ -497,7 +490,7 @@ class MemoryServer : public MessageHandler {
   uint64_t reserved_slots_ = 0;  // Allocated (granted) but possibly unwritten.
   FreeRunList free_runs_;  // Freed slots below next_slot_, coalesced.
   // Slot-run ownership when tenants are enforced: start → (pages, tenant).
-  // Lets Free/MIGRATE credit the right quota and reject cross-tenant frees.
+  // Lets Free credit the right quota and reject cross-tenant frees.
   std::map<uint64_t, std::pair<uint64_t, uint16_t>> tenant_runs_;
   double native_load_ = 0.0;
   std::unordered_map<uint64_t, int64_t> slot_delays_micros_;

@@ -45,8 +45,6 @@ TrafficClass ClassifyMessage(MessageType type) {
       return TrafficClass::kPageout;
     case MessageType::kHeartbeat:
     case MessageType::kHeartbeatAck:
-    case MessageType::kMigrate:
-    case MessageType::kMigrateReply:
       return TrafficClass::kBackground;
     default:
       return TrafficClass::kControl;

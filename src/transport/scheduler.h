@@ -3,12 +3,12 @@
 // The reactor's loop threads must never block on request service, so decoded
 // requests are handed to a small worker pool through this scheduler. Per-slot
 // FIFO dispatch — what the thread-per-session transport did — lets a single
-// saturating background stream (repair resilver, migration drains) queue
-// ahead of foreground page faults. Here dispatch is fair at two levels:
+// saturating stream (a resilver or a drain) queue ahead of foreground page
+// faults. Here dispatch is fair at two levels:
 //
 //   Level 1: traffic classes, weighted round-robin. A foreground PAGEIN is
 //            worth more scheduler credit than a PAGEOUT, which outranks
-//            background repair/migration/heartbeat traffic. Weights are
+//            background heartbeat traffic. Weights are
 //            a ratio, not a priority: background classes still drain (no
 //            starvation in either direction), just slower under contention.
 //   Level 2: round-robin across session lanes within a class, so one chatty
@@ -54,7 +54,7 @@ enum class TrafficClass : uint8_t {
   kPagein = 0,      // Foreground faults: a thread is blocked on this reply.
   kPageout = 1,     // Dirty-page writeback: urgent but bufferable.
   kControl = 2,     // Alloc/free/load/auth/stats — small and rare.
-  kBackground = 3,  // Repair, migration, heartbeats: bulk resilver traffic.
+  kBackground = 3,  // Heartbeats: liveness probes that must not crowd faults.
 };
 inline constexpr int kTrafficClasses = 4;
 

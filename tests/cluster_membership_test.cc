@@ -338,6 +338,43 @@ TEST(ClusterMembershipTest, DecommissionUnderLoadDrainsWithZeroLoss) {
   EXPECT_EQ(pager->PagesOn(2), 0u);
 }
 
+// Parity logging and write-through have no rebalance drain, so a leaving
+// member keeps its pages and decommission must fail closed: completing it
+// would drop a server that still holds data (for parity logging, live
+// pages, retired group members and parity pages all occupy its slots).
+class DecommissionFailsClosedTest : public ::testing::TestWithParam<Policy> {};
+
+TEST_P(DecommissionFailsClosedTest, CompleteRefusedWhileMemberHoldsPages) {
+  TestbedParams params;
+  params.policy = GetParam();
+  params.data_servers = 3;
+  params.server_capacity_pages = 512;
+  auto made = Testbed::Create(params);
+  ASSERT_TRUE(made.ok()) << made.status().message();
+  auto bed = std::move(*made);
+  ASSERT_TRUE(bed->EnableElasticMembership().ok());
+  constexpr uint64_t kHeld = 60;
+  auto loaded = bed->Preload(kHeld, kSeed);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  TimeNs now = *loaded;
+  auto* pager = bed->remote_pager();
+  ASSERT_GT(bed->server(1).live_pages(), 0u);
+  EXPECT_EQ(pager->PagesOn(1), bed->server(1).live_pages());
+
+  ASSERT_TRUE(bed->DecommissionServer(1, &now).ok());
+  const size_t members = pager->cluster_map().members().size();
+  EXPECT_EQ(bed->CompleteDecommission(1, &now).code(), ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(pager->cluster_map().members().size(), members);  // Still a member.
+  CheckAllPages(bed.get(), &now, kHeld);
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, DecommissionFailsClosedTest,
+                         ::testing::Values(Policy::kParityLogging, Policy::kWriteThrough),
+                         [](const ::testing::TestParamInfo<Policy>& info) {
+                           return info.param == Policy::kParityLogging ? "ParityLogging"
+                                                                       : "WriteThrough";
+                         });
+
 TEST(ClusterMembershipTest, MirroredJoinPlacesReplicasOnOwnerChain) {
   TestbedParams params;
   params.policy = Policy::kMirroring;

@@ -429,6 +429,7 @@ class BatchFetchProbe : public RemotePagerBase {
     return InternalError("probe: unused");
   }
   std::string Name() const override { return "batch-fetch-probe"; }
+  void ScanStoredCopies(const CopyVisitor&) const override {}  // Stores nothing.
 
   using RemotePagerBase::BatchFetch;
   using RemotePagerBase::PageWant;

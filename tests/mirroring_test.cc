@@ -109,6 +109,29 @@ TEST(MirroringTest, OverwriteAfterCrashRebuildsReplica) {
   EXPECT_EQ(backend->fully_replicated_pages(), 1);
 }
 
+TEST(MirroringTest, FailedMigrateStepKeepsBothReplicas) {
+  // Two servers: the mirror already holds the other copy, so a drain of
+  // server 0 has no third server to move a replica to. The failed step must
+  // leave both copies of every page in place.
+  auto bed = MakeBed(2);
+  MirroringBackend* backend = bed->mirroring();
+  constexpr uint64_t kPages = 16;
+  for (uint64_t p = 0; p < kPages; ++p) {
+    ASSERT_TRUE(backend->PageOut(0, p, Patterned(p).span()).ok());
+  }
+  TimeNs now = 0;
+  EXPECT_EQ(backend->MigrateStep(0, 4, &now).status().code(), ErrorCode::kNoSpace);
+  PageBuffer in;
+  for (uint64_t p = 0; p < kPages; ++p) {
+    ASSERT_TRUE(backend->PageIn(now, p, in.span()).ok()) << "page " << p;
+    EXPECT_TRUE(CheckPattern(in.span(), p)) << "page " << p;
+  }
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(backend->PagesOn(i), bed->server(i).live_pages()) << "server " << i;
+  }
+  EXPECT_EQ(backend->fully_replicated_pages(), static_cast<int64_t>(kPages));
+}
+
 TEST(MirroringTest, SingleServerCannotMirror) {
   auto bed = MakeBed(1);
   auto done = bed->backend().PageOut(0, 1, Patterned(1).span());

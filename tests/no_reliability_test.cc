@@ -147,6 +147,30 @@ TEST(NoReliabilityTest, MigrationMovesPagesOffLoadedServer) {
   EXPECT_GE(bed->server(1).live_pages(), 40u);
 }
 
+TEST(NoReliabilityTest, FailedMigrateStepKeepsEveryPage) {
+  // Both servers full and no disk: the drain has nowhere to put a page. The
+  // failed step must leave every page where it was, not drop the only copy.
+  auto bed = MakeBed(2, 32);
+  NoReliabilityBackend* backend = bed->no_reliability();
+  uint64_t pages = 0;
+  for (; pages < 64; ++pages) {
+    if (!backend->PageOut(0, pages, Patterned(pages).span()).ok()) {
+      break;
+    }
+  }
+  ASSERT_GT(bed->server(0).live_pages(), 4u);
+  TimeNs now = 0;
+  EXPECT_EQ(backend->MigrateStep(0, 4, &now).status().code(), ErrorCode::kNoSpace);
+  PageBuffer in;
+  for (uint64_t p = 0; p < pages; ++p) {
+    ASSERT_TRUE(backend->PageIn(now, p, in.span()).ok()) << "page " << p;
+    EXPECT_TRUE(CheckPattern(in.span(), p)) << "page " << p;
+  }
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(backend->PagesOn(i), bed->server(i).live_pages()) << "server " << i;
+  }
+}
+
 TEST(NoReliabilityTest, ServerCrashLosesPages) {
   auto bed = MakeBed(2, 256);
   for (uint64_t p = 0; p < 20; ++p) {

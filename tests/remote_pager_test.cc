@@ -1,11 +1,15 @@
 // Unit tests of the shared policy machinery in RemotePagerBase: slot
-// acquisition with extent fallback, selection modes, and transfer-time
-// accounting through the fabric.
+// acquisition with extent fallback, selection modes, transfer-time
+// accounting through the fabric, and the placement-and-move engine (the
+// fresh-slot write, the zero-loss page move, the stored-copy scan) under
+// every policy.
 
 #include "src/core/remote_pager.h"
 
 #include <gtest/gtest.h>
 
+#include "src/core/parity_logging.h"
+#include "src/core/testbed.h"
 #include "src/net/ethernet_model.h"
 #include "src/server/memory_server.h"
 #include "src/transport/inproc_transport.h"
@@ -23,12 +27,29 @@ class ProbePager : public RemotePagerBase {
   Result<TimeNs> PageOut(TimeNs now, uint64_t, std::span<const uint8_t>) override { return now; }
   Result<TimeNs> PageIn(TimeNs now, uint64_t, std::span<uint8_t>) override { return now; }
   std::string Name() const override { return "PROBE"; }
+  void ScanStoredCopies(const CopyVisitor& visit) const override {
+    for (const StoredCopy& copy : copies) {
+      if (!visit(copy)) {
+        return;
+      }
+    }
+  }
+
+  std::vector<StoredCopy> copies;  // The probe's "table".
 
   using RemotePagerBase::ChargeControl;
   using RemotePagerBase::ChargePageTransfer;
   using RemotePagerBase::ChargePageTransferAsync;
   using RemotePagerBase::PickPeer;
+  using RemotePagerBase::CopiesOn;
+  using RemotePagerBase::kNoPeer;
+  using RemotePagerBase::kPickAgain;
+  using RemotePagerBase::MoveCopy;
+  using RemotePagerBase::SlotRef;
+  using RemotePagerBase::StoredCopy;
+  using RemotePagerBase::StoreOnPeer;
   using RemotePagerBase::TakeSlotOn;
+  using RemotePagerBase::WriteFreshSlot;
 };
 
 struct Rig {
@@ -145,6 +166,153 @@ TEST(RemotePagerTest, NoModelChargesNothing) {
   EXPECT_EQ(rig.pager->ChargePageTransfer(now), Millis(7));
   EXPECT_EQ(rig.pager->ChargeControl(now), Millis(7));
 }
+
+PageBuffer Patterned(uint64_t seed) {
+  PageBuffer page;
+  FillPattern(page.span(), seed);
+  return page;
+}
+
+TEST(RemotePagerTest, FreshSlotWriteStopsDeniedPeerAndMovesOn) {
+  RemotePagerParams params;
+  params.alloc_extent_pages = 4;
+  Rig rig({0, 64}, params);  // s0 denies every allocation.
+  TimeNs now = 0;
+  size_t next = 0;
+  const PageBuffer page = Patterned(3);
+  auto placed = rig.pager->WriteFreshSlot(
+      page.span(), 4, [&](TimeNs*) -> Result<size_t> { return next++; }, &now);
+  ASSERT_TRUE(placed.ok()) << placed.status().message();
+  ASSERT_TRUE(placed->has_value());
+  EXPECT_EQ((*placed)->peer, 1u);
+  EXPECT_TRUE(rig.pager->cluster().peer(0).stopped());  // kNoSpace stops the peer.
+  EXPECT_EQ(rig.servers[1]->live_pages(), 1u);
+}
+
+TEST(RemotePagerTest, FreshSlotWriteEndsWhenThePickerRunsDry) {
+  Rig rig({64});
+  TimeNs now = 0;
+  int picks = 0;
+  auto placed = rig.pager->WriteFreshSlot(
+      Patterned(1).span(), 8,
+      [&](TimeNs*) -> Result<size_t> {
+        return ++picks < 3 ? ProbePager::kPickAgain : ProbePager::kNoPeer;
+      },
+      &now);
+  ASSERT_TRUE(placed.ok());
+  EXPECT_FALSE(placed->has_value());
+  EXPECT_EQ(picks, 3);
+  EXPECT_EQ(rig.servers[0]->live_pages(), 0u);
+}
+
+TEST(RemotePagerTest, MoveCopyFreesTheOldSlotOnlyAfterTheWrite) {
+  Rig rig({64, 64});
+  TimeNs now = 0;
+  const PageBuffer page = Patterned(9);
+  auto at = rig.pager->StoreOnPeer(0, page.span(), &now);
+  ASSERT_TRUE(at.ok());
+  const ProbePager::StoredCopy from{7, at->peer, at->slot};
+
+  // A failed relocation leaves the old copy where it was.
+  Status moved = rig.pager->MoveCopy(
+      from, std::nullopt,
+      [](std::span<const uint8_t>, TimeNs*) { return NoSpaceError("nowhere to go"); }, &now);
+  EXPECT_EQ(moved.code(), ErrorCode::kNoSpace);
+  EXPECT_EQ(rig.servers[0]->live_pages(), 1u);
+
+  // A successful one writes first, then frees.
+  moved = rig.pager->MoveCopy(
+      from, std::nullopt,
+      [&](std::span<const uint8_t> bytes, TimeNs* t) -> Status {
+        EXPECT_TRUE(CheckPattern(bytes, 9));
+        EXPECT_EQ(rig.servers[0]->live_pages(), 1u);  // Old copy still there.
+        return rig.pager->StoreOnPeer(1, bytes, t).status();
+      },
+      &now);
+  ASSERT_TRUE(moved.ok()) << moved.message();
+  EXPECT_EQ(rig.servers[0]->live_pages(), 0u);
+  EXPECT_EQ(rig.servers[1]->live_pages(), 1u);
+}
+
+TEST(RemotePagerTest, StoredCopyScanDrivesPagesOnAndCopiesOn) {
+  Rig rig({64, 64});
+  rig.pager->copies = {{1, 0, 10}, {2, 1, 11}, {3, 0, 12, 0, false}, {4, 0, 13}};
+  EXPECT_EQ(rig.pager->PagesOn(0), 3u);  // Non-live slots still occupy the server.
+  EXPECT_EQ(rig.pager->PagesOn(1), 1u);
+  const auto victims = rig.pager->CopiesOn(0, 8);
+  ASSERT_EQ(victims.size(), 2u);  // Live copies only.
+  EXPECT_EQ(victims[0].page_id, 1u);
+  EXPECT_EQ(victims[1].page_id, 4u);
+  EXPECT_EQ(rig.pager->CopiesOn(0, 1).size(), 1u);
+}
+
+// Every policy places pages with the one fresh-slot write, so an ADVISE_STOP
+// on a pageout ack must leave the acking peer `no_new_extents` whatever the
+// policy. Parity flushes are the exception: their ADVISE_STOP is ignored, so
+// sealed groups keep getting parity.
+class AdviseStopTest : public ::testing::TestWithParam<Policy> {};
+
+TEST_P(AdviseStopTest, PageoutAckWithAdviseStopClosesThePeer) {
+  TestbedParams params;
+  params.policy = GetParam();
+  params.data_servers = 2;
+  params.server_capacity_pages = 64;
+  params.pager.alloc_extent_pages = 8;
+  auto made = Testbed::Create(params);
+  ASSERT_TRUE(made.ok()) << made.status().message();
+  auto bed = std::move(*made);
+  PagingBackend& backend = bed->backend();
+  TimeNs now = 0;
+  // Two pages first: every peer that will be written below (the parity
+  // server included — two pages seal a group) already holds a pooled slot.
+  for (uint64_t p = 0; p < 2; ++p) {
+    auto done = backend.PageOut(now, p, Patterned(p).span());
+    ASSERT_TRUE(done.ok()) << done.status().message();
+    now = *done;
+  }
+  std::vector<uint64_t> before;
+  for (size_t i = 0; i < bed->server_count(); ++i) {
+    before.push_back(bed->server(i).live_pages());
+    bed->server(i).SetNativeLoad(1.0);  // Every ack now carries ADVISE_STOP.
+  }
+  for (uint64_t p = 2; p < 4; ++p) {
+    auto done = backend.PageOut(now, p, Patterned(p).span());
+    ASSERT_TRUE(done.ok()) << done.status().message();
+    now = *done;
+  }
+  const ParityLoggingBackend* parity_logging = bed->parity_logging();
+  size_t written = 0;
+  for (size_t i = 0; i < bed->server_count(); ++i) {
+    if (bed->server(i).live_pages() == before[i]) {
+      continue;
+    }
+    ++written;
+    const bool parity_peer = parity_logging != nullptr && i == parity_logging->parity_peer();
+    EXPECT_EQ(bed->remote_pager()->cluster().peer(i).no_new_extents(), !parity_peer)
+        << "server " << i;
+  }
+  EXPECT_GT(written, 0u);
+  if (parity_logging != nullptr) {
+    EXPECT_GT(bed->server(parity_logging->parity_peer()).live_pages(),
+              before[parity_logging->parity_peer()]);  // The flush did happen.
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, AdviseStopTest,
+                         ::testing::Values(Policy::kNoReliability, Policy::kMirroring,
+                                           Policy::kWriteThrough, Policy::kParityLogging),
+                         [](const ::testing::TestParamInfo<Policy>& info) {
+                           switch (info.param) {
+                             case Policy::kNoReliability:
+                               return std::string("NoReliability");
+                             case Policy::kMirroring:
+                               return std::string("Mirroring");
+                             case Policy::kWriteThrough:
+                               return std::string("WriteThrough");
+                             default:
+                               return std::string("ParityLogging");
+                           }
+                         });
 
 }  // namespace
 }  // namespace rmp

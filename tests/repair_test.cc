@@ -166,6 +166,7 @@ TEST(RepairCoordinatorTest, OverloadDrainEmptiesTheServer) {
 
   const uint64_t resident = bed->server(0).live_pages();
   ASSERT_GT(resident, 0u);
+  const int64_t pageins_before = bed->server(0).stats().pageins_served;
   bed->server(0).SetNativeLoad(1.0);  // Native demand: ADVISE_STOP turns on.
   auto pumped = repair->Pump(now + Millis(50));
   ASSERT_TRUE(pumped.ok()) << pumped.status().message();
@@ -177,7 +178,9 @@ TEST(RepairCoordinatorTest, OverloadDrainEmptiesTheServer) {
   EXPECT_EQ(repair->stats().drains_completed, 1);
   EXPECT_EQ(repair->stats().pages_migrated, static_cast<int64_t>(resident));
   EXPECT_EQ(bed->server(0).live_pages(), 0u);  // Fully drained (§2.1).
-  EXPECT_EQ(bed->server(0).stats().migrations_served, static_cast<int64_t>(resident));
+  // Each drained replica was read off the server once, with a plain PAGEIN.
+  EXPECT_EQ(bed->server(0).stats().pageins_served - pageins_before,
+            static_cast<int64_t>(resident));
   EXPECT_EQ(bed->mirroring()->fully_replicated_pages(), static_cast<int64_t>(kPages));
   CheckAllPages(bed.get(), &now);
   // The drain leaves the server stopped while the pressure lasts...

@@ -175,10 +175,10 @@ TEST(TenantTest, AdviseStopFiresFromTheTenantQuotaAlone) {
 
 // --- Rate limiting and priority lanes ---------------------------------------
 
-TEST(TenantTest, RateDenialsThrottleBackgroundBeforePageoutBeforePagein) {
+TEST(TenantTest, RateDenialsThrottlePageoutBeforePagein) {
   // rate 1/s means no meaningful refill during the test; burst 16 seeds the
-  // bucket. Lane reserves: migrate keeps burst/2 = 8 untouched, pageout-ish
-  // keeps burst/8 = 2, pagein drains to zero.
+  // bucket. Lane reserves: pageout-ish keeps burst/8 = 2 untouched, pagein
+  // drains to zero.
   MemoryServer server(
       ParamsWithTenants({{.id = 6, .rate_pages_per_sec = 1, .burst_pages = 16}}));
   const Message granted = server.Handle(TaggedAlloc(1, 64, 6));
@@ -186,25 +186,9 @@ TEST(TenantTest, RateDenialsThrottleBackgroundBeforePageoutBeforePagein) {
   PageBuffer page;
   FillPattern(page.span(), 6);
   uint64_t id = 100;
-
-  // Background (MIGRATE) throttles first: it may only spend down to the
-  // reserve floor. (Migrates target unwritten slots; the admission charge
-  // happens before dispatch, which then reports NotFound.)
-  int migrates = 0;
   Message reply;
-  for (; migrates < 32; ++migrates) {
-    Message request = MakeMigrate(++id, granted.slot + 60);
-    request.tenant = 6;
-    reply = server.Handle(request);
-    if (reply.status_code() == ErrorCode::kResourceExhausted) {
-      break;
-    }
-  }
-  EXPECT_GE(migrates, 8);   // 16 - 8 reserved.
-  EXPECT_LT(migrates, 12);  // Refill at 1/s cannot add more than a token or two.
-  EXPECT_EQ(reply.type, MessageType::kMigrateReply);
 
-  // Pageouts still land (reserve 2), then throttle...
+  // Pageouts land until only the reserve is left (16 - 2), then throttle...
   int pageouts = 0;
   for (; pageouts < 32; ++pageouts) {
     reply = server.Handle(TaggedPageOut(++id, granted.slot + pageouts, page.span(), 6));
@@ -212,7 +196,8 @@ TEST(TenantTest, RateDenialsThrottleBackgroundBeforePageoutBeforePagein) {
       break;
     }
   }
-  EXPECT_GE(pageouts, 1);
+  EXPECT_GE(pageouts, 14);
+  EXPECT_LT(pageouts, 18);  // Refill at 1/s cannot add more than a token or two.
   EXPECT_EQ(reply.type, MessageType::kPageOutAck);
   EXPECT_TRUE(reply.advise_stop());  // A rate denial always asks for backoff.
 

@@ -233,7 +233,7 @@ TEST(WireFuzzTest, StrictServerAnswersUnknownTenantFramesCleanly) {
   PageBuffer page;
   FillPattern(page.span(), 3);
   for (Message hostile : {MakeAllocRequest(1, 8), MakePageIn(2, 5),
-                          MakePageOut(3, 5, page.span()), MakeMigrate(4, 5)}) {
+                          MakePageOut(3, 5, page.span())}) {
     hostile.tenant = 99;
     const Message reply = server.Handle(hostile);
     EXPECT_EQ(reply.status_code(), ErrorCode::kFailedPrecondition);
