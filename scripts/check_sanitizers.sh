@@ -46,6 +46,10 @@ sanitizers=("${@:-address}")
 # every length and offset across them) and the shared coalescing free-run
 # list behind memory-server slots and disk blocks, which the concurrent
 # churn suite drives from many threads at once.
+# faults_smoke also carries the in-process transport suite and the whole-pager
+# wire round trip: replies move out of their futures and batch pages are read
+# in place inside reply payloads, so a use-after-move or a view that outlives
+# its payload shows up there under ASan.
 # policy_smoke covers the five reliability policies and the placement-and-move
 # engine they share (the fresh-slot write, the zero-loss page move, the
 # stored-copy scan): slots handed back on failed writes, victim lists built

@@ -63,7 +63,7 @@ void ServerPeer::DropPool() {
   returned_.clear();
 }
 
-Result<Message> ServerPeer::Call(Message request) {
+Message ServerPeer::Stamped(Message request) const {
   if (request.tenant == 0) {
     request.tenant = tenant_;
   }
@@ -75,20 +75,15 @@ Result<Message> ServerPeer::Call(Message request) {
   if (trace_source_ != nullptr && EpochStamped(request.type)) {
     StampTraceId(&request, trace_source_->load(std::memory_order_relaxed));
   }
-  return transport_->Call(request);
+  return request;
+}
+
+Result<Message> ServerPeer::Call(Message request) {
+  return transport_->Call(Stamped(std::move(request)));
 }
 
 RpcFuture ServerPeer::CallAsync(Message request) {
-  if (request.tenant == 0) {
-    request.tenant = tenant_;
-  }
-  if (epoch_ != 0 && request.aux == 0 && EpochStamped(request.type)) {
-    request.aux = epoch_;
-  }
-  if (trace_source_ != nullptr && EpochStamped(request.type)) {
-    StampTraceId(&request, trace_source_->load(std::memory_order_relaxed));
-  }
-  return transport_->CallAsync(std::move(request));
+  return transport_->CallAsync(Stamped(std::move(request)));
 }
 
 void ServerPeer::AttachMetrics(MetricsRegistry* registry) {
@@ -134,7 +129,12 @@ Status ServerPeer::CheckReply(const Result<Message>& reply, std::optional<Messag
     if (reply->status_code() == ErrorCode::kUnavailable) {
       mark_dead();
     }
-    return Status(reply->status_code(), std::string(op) + " failed on " + name_);
+    std::string message = std::string(op) + " failed on " + name_;
+    if (reply->type == MessageType::kPageOutBatchAck ||
+        reply->type == MessageType::kPageInBatchReply) {
+      message += " at entry " + std::to_string(reply->aux);
+    }
+    return Status(reply->status_code(), std::move(message));
   }
   return OkStatus();
 }
@@ -193,21 +193,7 @@ RpcFuture ServerPeer::StartPageOutBatch(std::span<const uint64_t> slots,
 
 Result<bool> ServerPeer::JoinPageOutBatch(RpcFuture future, uint64_t expected) {
   auto reply = future.Wait();
-  if (!reply.ok()) {
-    mark_dead();
-    return reply.status();
-  }
-  if (reply->type != MessageType::kPageOutBatchAck) {
-    return ProtocolError("unexpected reply to PAGEOUT_BATCH on " + name_);
-  }
-  if (reply->status_code() != ErrorCode::kOk) {
-    if (reply->status_code() == ErrorCode::kUnavailable) {
-      mark_dead();
-    }
-    return Status(reply->status_code(),
-                  "batch pageout rejected by " + name_ + " at entry " +
-                      std::to_string(reply->aux));
-  }
+  RMP_RETURN_IF_ERROR(CheckReply(reply, MessageType::kPageOutBatchAck, "PAGEOUT_BATCH"));
   if (reply->count != expected) {
     return ProtocolError("partial batch ack from " + name_);
   }
@@ -224,35 +210,14 @@ RpcFuture ServerPeer::StartPageInBatch(std::span<const uint64_t> slots) {
   return CallAsync(MakePageInBatch(NextRequestId(), slots));
 }
 
-Status ServerPeer::JoinPageInBatch(RpcFuture future, uint64_t expected, std::span<uint8_t> out) {
-  if (out.size() != expected * kPageSize) {
-    return InvalidArgumentError("batch pagein target must be expected * kPageSize");
-  }
+Result<std::vector<uint8_t>> ServerPeer::JoinPageInBatch(RpcFuture future, uint64_t expected) {
   auto reply = future.Wait();
-  if (!reply.ok()) {
-    mark_dead();
-    return reply.status();
-  }
-  if (reply->type != MessageType::kPageInBatchReply) {
-    return ProtocolError("unexpected reply to PAGEIN_BATCH on " + name_);
-  }
-  if (reply->status_code() != ErrorCode::kOk) {
-    if (reply->status_code() == ErrorCode::kUnavailable) {
-      mark_dead();
-    }
-    return Status(reply->status_code(),
-                  "batch pagein failed on " + name_ + " at entry " + std::to_string(reply->aux));
-  }
+  RMP_RETURN_IF_ERROR(CheckReply(reply, MessageType::kPageInBatchReply, "PAGEIN_BATCH"));
   if (reply->count != expected || reply->payload.size() != expected * kPageSize) {
     return ProtocolError("short batch pagein payload from " + name_);
   }
-  std::copy(reply->payload.begin(), reply->payload.end(), out.begin());
   NoteFetched(static_cast<int64_t>(expected));
-  return OkStatus();
-}
-
-Status ServerPeer::PageInBatchFrom(std::span<const uint64_t> slots, std::span<uint8_t> out) {
-  return JoinPageInBatch(StartPageInBatch(slots), slots.size(), out);
+  return std::move(reply->payload);
 }
 
 Status ServerPeer::FreeOn(uint64_t first_slot, uint64_t count) {

@@ -139,14 +139,14 @@ class ServerPeer {
   // The server applies entries in order and fails the whole message on the
   // first bad entry, so on error the caller should retry per-page or treat
   // the batch as failed. Join validates the reply against `expected`, the
-  // entry count of the request.
+  // entry count of the request. JoinPageInBatch moves the reply payload out
+  // to the caller: `expected` pages of kPageSize bytes in request order.
   RpcFuture StartPageOutBatch(std::span<const uint64_t> slots, std::span<const uint8_t> pages);
   Result<bool> JoinPageOutBatch(RpcFuture future, uint64_t expected);
   Result<bool> PageOutBatchTo(std::span<const uint64_t> slots, std::span<const uint8_t> pages);
 
   RpcFuture StartPageInBatch(std::span<const uint64_t> slots);
-  Status JoinPageInBatch(RpcFuture future, uint64_t expected, std::span<uint8_t> out);
-  Status PageInBatchFrom(std::span<const uint64_t> slots, std::span<uint8_t> out);
+  Result<std::vector<uint8_t>> JoinPageInBatch(RpcFuture future, uint64_t expected);
 
   Status FreeOn(uint64_t first_slot, uint64_t count);
 
@@ -212,8 +212,10 @@ class ServerPeer {
   // fails `op` on this peer.
   Status CheckReply(const Result<Message>& reply, std::optional<MessageType> expected,
                     std::string_view op);
-  // Transport forwarders that stamp tenant_ onto untagged requests; every
-  // RPC helper goes through one of them.
+  // `request` with this peer's tenant, map epoch and trace id stamped on.
+  Message Stamped(Message request) const;
+  // Transport forwarders that stamp every request; every RPC helper goes
+  // through one of them.
   Result<Message> Call(Message request);
   RpcFuture CallAsync(Message request);
   void NoteSent(int64_t n) {

@@ -206,7 +206,7 @@ Result<uint64_t> MirroringBackend::ResilverChunk(size_t peer_index, uint64_t max
     const Replica& live = table_.at(orphan.page_id).copies[1 - orphan.copy];
     wants.push_back(PageWant{live.peer, live.slot});
   }
-  std::vector<PageBuffer> pages;
+  FetchedPages pages;
   RMP_RETURN_IF_ERROR(BatchFetch(wants, &pages, now));
 
   std::map<size_t, std::vector<size_t>> by_dest;  // Destination peer -> orphan indices.
@@ -227,7 +227,7 @@ Result<uint64_t> MirroringBackend::ResilverChunk(size_t peer_index, uint64_t max
       for (size_t j = 0; j < n; ++j) {
         const size_t i = indices[pos + j];
         slots[j] = placed[i].slot;
-        std::copy(pages[i].span().begin(), pages[i].span().end(), data.begin() + j * kPageSize);
+        std::copy(pages.page(i).begin(), pages.page(i).end(), data.begin() + j * kPageSize);
       }
       auto advise = cluster_.peer(dest).PageOutBatchTo(slots, data);
       if (advise.ok()) {
@@ -245,7 +245,7 @@ Result<uint64_t> MirroringBackend::ResilverChunk(size_t peer_index, uint64_t max
       // The destination died mid-resilver; repair this chunk page by page.
       for (size_t j = 0; j < n; ++j) {
         const size_t i = indices[pos + j];
-        auto replica = PlaceReplica(pages[i].span(), kNoPeer, wants[i].peer, now);
+        auto replica = PlaceReplica(pages.page(i), kNoPeer, wants[i].peer, now);
         if (!replica.ok()) {
           return replica.status();
         }

@@ -377,11 +377,8 @@ Result<int> NoReliabilityBackend::DrainDiskToServers(TimeNs* now, int max_pages)
   // not the load probe, owns their placement state.
   for (size_t i = 0; i < cluster_.size(); ++i) {
     ServerPeer& peer = cluster_.peer(i);
-    if (has_cluster_map()) {
-      const ClusterMember* member = cluster_map().FindMember(static_cast<uint32_t>(i));
-      if (member == nullptr || member->state != ClusterMember::State::kActive) {
-        continue;
-      }
+    if (MapStopsPeer(i)) {
+      continue;
     }
     if (peer.alive() && (peer.stopped() || peer.no_new_extents())) {
       auto load = peer.QueryLoad();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <utility>
 
 #include "src/util/logging.h"
 
@@ -324,9 +325,13 @@ Status ParityLoggingBackend::GarbageCollect(TimeNs* now) {
 
   auto reopen_servers = [&] {
     // A denial marked servers stopped; reclamation frees their memory, so
-    // probe them again (a server with any free page is usable for GC).
+    // probe them again (a server with any free page is usable for GC). A
+    // member the cluster map is draining stays stopped, free pages or not.
     for (size_t i = 0; i < cluster_.size(); ++i) {
       ServerPeer& peer = cluster_.peer(i);
+      if (MapStopsPeer(i)) {
+        continue;
+      }
       if (peer.alive() && (peer.stopped() || peer.no_new_extents())) {
         auto load = peer.QueryLoad();
         *now = ChargeControl(*now);
@@ -371,7 +376,7 @@ Status ParityLoggingBackend::GarbageCollect(TimeNs* now) {
       }
     }
   }
-  std::vector<PageBuffer> stash;
+  FetchedPages stash;
   const Status fetched = BatchFetch(wants, &stash, now);
   if (!fetched.ok()) {
     in_gc_ = false;
@@ -400,7 +405,7 @@ Status ParityLoggingBackend::GarbageCollect(TimeNs* now) {
 
   Status result = OkStatus();
   for (size_t i = 0; i < stash_ids.size(); ++i) {
-    const Status placed = PlacePage(stash_ids[i], stash[i].span(), now);
+    const Status placed = PlacePage(stash_ids[i], stash.page(i), now);
     if (!placed.ok()) {
       result = placed;
       break;
@@ -482,18 +487,17 @@ Result<uint64_t> ParityLoggingBackend::RebuildParityChunk(uint64_t max_pages, Ti
     return 0;  // Every sealed group has live parity again.
   }
   auto status = [&]() -> Status {
-    std::vector<PageBuffer> pages;
+    FetchedPages pages;
     RMP_RETURN_IF_ERROR(BatchFetch(wants, &pages, now));
+    // Each group's parity is XORed together in place, in the batch buffer.
     std::vector<uint64_t> parity_slots;
-    std::vector<uint8_t> parity_pages;
-    parity_slots.reserve(chunk_ids.size());
-    parity_pages.reserve(chunk_ids.size() * kPageSize);
+    std::vector<uint8_t> parity_pages(chunk_ids.size() * kPageSize, 0);
     size_t next_page = 0;
     for (const uint64_t group_id : chunk_ids) {
       ParityGroup& group = groups_.at(group_id);
-      PageBuffer rebuilt;
+      uint8_t* rebuilt = parity_pages.data() + parity_slots.size() * kPageSize;
       for (size_t e = 0; e < group.entries.size(); ++e) {
-        rebuilt.XorWith(pages[next_page++].span());
+        XorBytes(rebuilt, pages.page(next_page++).data(), kPageSize);
       }
       auto slot = TakeSlotOn(parity_peer_, now);
       if (!slot.ok()) {
@@ -501,7 +505,6 @@ Result<uint64_t> ParityLoggingBackend::RebuildParityChunk(uint64_t max_pages, Ti
       }
       group.parity_slot = *slot;
       parity_slots.push_back(*slot);
-      parity_pages.insert(parity_pages.end(), rebuilt.span().begin(), rebuilt.span().end());
     }
     for (size_t pos = 0; pos < parity_slots.size(); pos += kMaxBatchPages) {
       const size_t n = std::min<size_t>(kMaxBatchPages, parity_slots.size() - pos);
@@ -587,10 +590,13 @@ Result<uint64_t> ParityLoggingBackend::RecoverDataChunk(size_t peer_index, uint6
       wants.push_back(PageWant{parity_peer_, group.parity_slot});
     }
   }
-  std::vector<PageBuffer> fetched;
+  FetchedPages fetched;
   RMP_RETURN_IF_ERROR(BatchFetch(wants, &fetched, now));
 
-  std::vector<std::pair<uint64_t, PageBuffer>> stash;  // Active pages to re-home.
+  // Active pages to re-home: survivors stay in `fetched`, reconstructed
+  // pages move into `rebuilt`; the stash only points at them.
+  std::vector<std::pair<uint64_t, std::span<const uint8_t>>> stash;
+  std::vector<PageBuffer> rebuilt;
   bool open_dissolved = false;
   size_t next_fetch = 0;
   for (const uint64_t group_id : affected) {
@@ -612,18 +618,19 @@ Result<uint64_t> ParityLoggingBackend::RecoverDataChunk(size_t peer_index, uint6
         lost = &entry;
         continue;
       }
-      const PageBuffer& page = fetched[next_fetch++];
-      xor_buf.XorWith(page.span());
+      const std::span<const uint8_t> page = fetched.page(next_fetch++);
+      xor_buf.XorWith(page);
       if (entry.active) {
         // Dissolving the group surrenders this page's redundancy; re-home it.
         stash.emplace_back(entry.page_id, page);
       }
     }
     if (group.sealed) {
-      xor_buf.XorWith(fetched[next_fetch++].span());
+      xor_buf.XorWith(fetched.page(next_fetch++));
     }
     if (lost != nullptr && lost->active) {
-      stash.emplace_back(lost->page_id, xor_buf);  // The reconstructed page.
+      // Moving the page keeps its buffer, so the stash's view stays valid.
+      stash.emplace_back(lost->page_id, rebuilt.emplace_back(std::move(xor_buf)).span());
       ++stats_.reconstructions;
     }
     // Dissolve: free surviving slots and the parity slot, drop the group.
@@ -657,7 +664,7 @@ Result<uint64_t> ParityLoggingBackend::RecoverDataChunk(size_t peer_index, uint6
   }
   // Re-home every rescued page through the normal pageout path.
   for (auto& [page_id, page] : stash) {
-    RMP_RETURN_IF_ERROR(PlacePage(page_id, page.span(), now));
+    RMP_RETURN_IF_ERROR(PlacePage(page_id, page, now));
   }
   RMP_LOG(kInfo) << "parity logging: recovered from crash of peer " << peer_index << ", re-homed "
                  << stash.size() << " pages across " << affected.size() << " groups";

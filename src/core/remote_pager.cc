@@ -169,9 +169,10 @@ Status RemotePagerBase::ReliableFree(size_t peer_index, uint64_t first_slot, uin
                      [&](ServerPeer& peer) { return peer.FreeOn(first_slot, count); });
 }
 
-Status RemotePagerBase::BatchFetch(std::span<const PageWant> wants, std::vector<PageBuffer>* out,
+Status RemotePagerBase::BatchFetch(std::span<const PageWant> wants, FetchedPages* out,
                                    TimeNs* now) {
-  out->assign(wants.size(), PageBuffer());
+  out->payloads_.clear();
+  out->pages_.assign(wants.size(), {});
   if (wants.empty()) {
     return OkStatus();
   }
@@ -210,39 +211,37 @@ Status RemotePagerBase::BatchFetch(std::span<const PageWant> wants, std::vector<
   const TimeNs fan_start = *now;
   TimeNs fan_done = *now;
   Status first_error = OkStatus();
-  std::vector<uint8_t> staging;
+  out->payloads_.reserve(chunks.size());
   for (Chunk& chunk : chunks) {
-    staging.resize(chunk.slots.size() * kPageSize);
     ServerPeer& peer = cluster_.peer(chunk.peer);
-    Status joined =
-        peer.JoinPageInBatch(std::move(chunk.future), chunk.slots.size(),
-                             std::span<uint8_t>(staging));
+    auto joined = peer.JoinPageInBatch(std::move(chunk.future), chunk.slots.size());
     // Transient failure against a live connection: retry *this chunk only*.
     // Chunks that already joined keep their pages and their single charge —
     // re-fetching them would double-apply the batch on the wire and in the
     // stats (the BatchFetch partial-failure bug).
     for (int attempt = 1; !joined.ok() && attempt < params_.retry.max_attempts &&
-                          ShouldRetry(chunk.peer, joined);
+                          ShouldRetry(chunk.peer, joined.status());
          ++attempt) {
       peer.mark_alive();
       TimeNs backoff_now = fan_start;
       ChargeBackoff(attempt, &backoff_now);
       fan_done = std::max(fan_done, backoff_now);
-      joined = peer.JoinPageInBatch(peer.StartPageInBatch(chunk.slots), chunk.slots.size(),
-                                    std::span<uint8_t>(staging));
+      joined = peer.JoinPageInBatch(peer.StartPageInBatch(chunk.slots), chunk.slots.size());
     }
     if (!joined.ok()) {
       // Keep draining the remaining futures so the transport settles.
       if (first_error.ok()) {
-        first_error = joined;
+        first_error = joined.status();
       }
       continue;
     }
     fan_done = std::max(fan_done, ChargePageBatchTransfer(fan_start, chunk.slots.size(),
                                                           chunk.peer));
+    // Moving the payload keeps its buffer, so the views stay valid.
+    const std::vector<uint8_t>& payload = out->payloads_.emplace_back(std::move(*joined));
     for (size_t j = 0; j < chunk.indices.size(); ++j) {
-      (*out)[chunk.indices[j]] =
-          PageBuffer(std::span<const uint8_t>(staging.data() + j * kPageSize, kPageSize));
+      out->pages_[chunk.indices[j]] =
+          std::span<const uint8_t>(payload).subspan(j * kPageSize, kPageSize);
     }
   }
   *now = fan_done;
@@ -415,9 +414,16 @@ void RemotePagerBase::AdoptLocal(const ClusterMap& map) {
   for (size_t i = 0; i < cluster_.size(); ++i) {
     ServerPeer& peer = cluster_.peer(i);
     peer.set_epoch(map_.epoch());
-    const ClusterMember* member = map_.FindMember(static_cast<uint32_t>(i));
-    peer.set_stopped(member == nullptr || member->state != ClusterMember::State::kActive);
+    peer.set_stopped(MapStopsPeer(i));
   }
+}
+
+bool RemotePagerBase::MapStopsPeer(size_t peer) const {
+  if (!has_map_) {
+    return false;
+  }
+  const ClusterMember* member = map_.FindMember(static_cast<uint32_t>(peer));
+  return member == nullptr || member->state != ClusterMember::State::kActive;
 }
 
 bool RemotePagerBase::AdoptClusterMap(const ClusterMap& map, TimeNs* now, bool publish) {
@@ -489,8 +495,7 @@ void RemotePagerBase::NotePeerAdded(size_t i) {
   events_.Append(EventKind::kMembership, "client", "peer " + peer.name() + " added");
   if (has_map_) {
     peer.set_epoch(map_.epoch());
-    const ClusterMember* member = map_.FindMember(static_cast<uint32_t>(i));
-    peer.set_stopped(member == nullptr || member->state != ClusterMember::State::kActive);
+    peer.set_stopped(MapStopsPeer(i));
   }
 }
 

@@ -137,6 +137,11 @@ class RemotePagerBase : public PagingBackend {
   bool has_cluster_map() const { return has_map_; }
   const ClusterMap& cluster_map() const { return map_; }
 
+  // True when an adopted map keeps `peer` from taking new pages (a kLeaving
+  // or absent member). Load probes must not reopen such a peer: the map, not
+  // the server's free space, owns its placement state.
+  bool MapStopsPeer(size_t peer) const;
+
   // The peer index owning `page_id` under the adopted map.
   Result<size_t> MapOwnerPeer(uint64_t page_id) const;
 
@@ -291,15 +296,30 @@ class RemotePagerBase : public PagingBackend {
   // One page to read: its holding peer and the slot it occupies there.
   using PageWant = SlotRef;
 
+  // The pages one BatchFetch read. Each page stays where it arrived, inside
+  // its PAGEIN_BATCH reply payload: page(i) views the page for wants[i] and
+  // is valid while this object lives. Nothing is copied out of the replies.
+  class FetchedPages {
+   public:
+    std::span<const uint8_t> page(size_t i) const { return pages_[i]; }
+    size_t size() const { return pages_.size(); }
+
+   private:
+    friend class RemotePagerBase;
+    std::vector<std::vector<uint8_t>> payloads_;
+    std::vector<std::span<const uint8_t>> pages_;  // Empty for a failed chunk.
+  };
+
   // Fetches many stored pages with batched PAGEIN_BATCH RPCs: wants are
   // grouped by peer, chunked at kMaxBatchPages, and every chunk is started
   // before any is joined, so reads fan out across the cluster and each chunk
   // is charged as one batched transfer from the common start time. On
-  // success (*out)[i] holds the page for wants[i] and *now advances to the
+  // success out->page(i) is the page for wants[i] and *now advances to the
   // slowest chunk's completion. On error the first failure is returned
-  // (remaining chunks are still drained) and *now reflects the chunks that
-  // did complete. Shared by GC compaction, crash recovery, and resilvering.
-  Status BatchFetch(std::span<const PageWant> wants, std::vector<PageBuffer>* out, TimeNs* now);
+  // (remaining chunks are still drained, and their pages kept) and *now
+  // reflects the chunks that did complete. Shared by GC compaction, crash
+  // recovery, and resilvering.
+  Status BatchFetch(std::span<const PageWant> wants, FetchedPages* out, TimeNs* now);
 
   // Picks a peer for a fresh page according to params_.selection.
   Result<size_t> PickPeer(TimeNs* now);

@@ -216,7 +216,7 @@ void EncodeTo(const Message& message, std::vector<uint8_t>* out) {
 
 std::vector<uint8_t> Encode(const Message& message) {
   std::vector<uint8_t> out;
-  out.reserve(kWirePrefixSize + message.payload.size());
+  out.reserve(EncodedSize(message));
   EncodeTo(message, &out);
   return out;
 }

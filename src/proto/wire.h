@@ -202,6 +202,11 @@ Message MessageFromHeader(const WireHeader& header);
 // The CRC as computed for the wire: CRC32 of the payload, 0 when empty.
 uint32_t PayloadCrc(std::span<const uint8_t> payload);
 
+// Bytes `message` occupies on the wire: Encode(message).size().
+inline size_t EncodedSize(const Message& message) {
+  return kWirePrefixSize + message.payload.size();
+}
+
 // Serializes `message`, computing the payload CRC.
 std::vector<uint8_t> Encode(const Message& message);
 

@@ -1,6 +1,7 @@
 #include "src/server/memory_server.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -933,6 +934,13 @@ Status MemoryServer::Store(uint64_t slot, std::span<const uint8_t> page) {
 }
 
 Result<PageBuffer> MemoryServer::Load(uint64_t slot) const {
+  PageBuffer out;
+  RMP_RETURN_IF_ERROR(LoadInto(slot, out.span()));
+  return out;
+}
+
+Status MemoryServer::LoadInto(uint64_t slot, std::span<uint8_t> out) const {
+  assert(out.size() == kPageSize);
   ScratchTimer store_timer(&ServerTraceScratch::store_ns);
   if (crashed()) {
     return UnavailableError(params_.name + " crashed");
@@ -950,13 +958,13 @@ Result<PageBuffer> MemoryServer::Load(uint64_t slot) const {
     std::this_thread::sleep_for(std::chrono::microseconds(params_.store_service_micros));
   }
   SlotRef& ref = it->second;
-  PageBuffer out;  // Zero-filled: the kZero tier returns it as-is.
   switch (ref.tier) {
     case SlotRef::Tier::kHot:
       ref.clock = 1;
-      out.Assign(std::span<const uint8_t>(FramePtr(shard, ref.ref), kPageSize));
+      std::memcpy(out.data(), FramePtr(shard, ref.ref), kPageSize);
       break;
     case SlotRef::Tier::kZero:
+      std::memset(out.data(), 0, kPageSize);
       break;
     case SlotRef::Tier::kCold: {
       RMP_RETURN_IF_ERROR(ReadColdLocked(&shard, ref.ref, out.data()));
@@ -974,7 +982,7 @@ Result<PageBuffer> MemoryServer::Load(uint64_t slot) const {
   }
   stats_.pageins_served.fetch_add(1, std::memory_order_relaxed);
   stats_.bytes_returned.fetch_add(kPageSize, std::memory_order_relaxed);
-  return out;
+  return OkStatus();
 }
 
 Status MemoryServer::StoreBatch(std::span<const uint64_t> slots, std::span<const uint8_t> pages,
@@ -998,18 +1006,6 @@ Status MemoryServer::StoreBatch(std::span<const uint64_t> slots, std::span<const
     *stored_out = stored;
   }
   return status;
-}
-
-Status MemoryServer::LoadBatch(std::span<const uint64_t> slots, std::vector<uint8_t>* out) const {
-  out->reserve(out->size() + slots.size() * kPageSize);
-  for (const uint64_t slot : slots) {
-    auto page = Load(slot);
-    if (!page.ok()) {
-      return page.status();
-    }
-    out->insert(out->end(), page->span().begin(), page->span().end());
-  }
-  return OkStatus();
 }
 
 Result<PageBuffer> MemoryServer::DeltaStore(uint64_t slot, std::span<const uint8_t> page) {
@@ -1473,11 +1469,13 @@ Message MemoryServer::HandleInternal(const Message& request) {
       if (!owner.ok()) {
         return MakePageInReply(request.request_id, request.slot, {}, owner.code());
       }
-      auto page = Load(request.slot);
-      if (!page.ok()) {
-        return MakePageInReply(request.request_id, request.slot, {}, page.status().code());
+      Message reply = MakePageInReply(request.request_id, request.slot, {}, ErrorCode::kOk);
+      reply.payload.resize(kPageSize);
+      const Status loaded = LoadInto(request.slot, std::span<uint8_t>(reply.payload));
+      if (!loaded.ok()) {
+        return MakePageInReply(request.request_id, request.slot, {}, loaded.code());
       }
-      return MakePageInReply(request.request_id, request.slot, page->span(), ErrorCode::kOk);
+      return reply;
     }
     case MessageType::kPageOutBatch: {
       auto count = ValidateBatch(request);
@@ -1511,24 +1509,24 @@ Message MemoryServer::HandleInternal(const Message& request) {
         return MakeErrorReply(request.request_id, ErrorCode::kProtocol);
       }
       stats_.batch_requests.fetch_add(1, std::memory_order_relaxed);
-      std::vector<uint8_t> pages;
-      pages.reserve(*count * kPageSize);
+      // Every page loads straight into its place in the reply payload.
+      Message reply = MakePageInBatchReply(request.request_id, {}, ErrorCode::kOk);
+      reply.count = *count;
+      reply.payload.resize(*count * kPageSize);
       for (size_t i = 0; i < *count; ++i) {
-        const Status owner = CheckSlotOwner(BatchSlot(request, i), request.tenant);
-        if (!owner.ok()) {
-          Message reply = MakePageInBatchReply(request.request_id, {}, owner.code());
-          reply.aux = i;
-          return reply;
+        const uint64_t slot = BatchSlot(request, i);
+        Status status = CheckSlotOwner(slot, request.tenant);
+        if (status.ok()) {
+          status = LoadInto(
+              slot, std::span<uint8_t>(reply.payload).subspan(i * kPageSize, kPageSize));
         }
-        auto page = Load(BatchSlot(request, i));
-        if (!page.ok()) {
-          Message reply = MakePageInBatchReply(request.request_id, {}, page.status().code());
-          reply.aux = i;  // Index of the failing entry.
-          return reply;
+        if (!status.ok()) {
+          Message failed = MakePageInBatchReply(request.request_id, {}, status.code());
+          failed.aux = i;  // Index of the failing entry.
+          return failed;
         }
-        pages.insert(pages.end(), page->span().begin(), page->span().end());
       }
-      return MakePageInBatchReply(request.request_id, pages, ErrorCode::kOk);
+      return reply;
     }
     case MessageType::kLoadQuery: {
       std::lock_guard<std::mutex> lock(control_mutex_);

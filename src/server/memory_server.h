@@ -242,16 +242,16 @@ class MemoryServer : public MessageHandler {
   Status Free(uint64_t first_slot, uint64_t pages) { return Free(first_slot, pages, 0); }
   Status Free(uint64_t first_slot, uint64_t pages, uint16_t tenant);
   Status Store(uint64_t slot, std::span<const uint8_t> page);
+  // Copies the page at `slot` into `out`, which must hold exactly kPageSize
+  // bytes: the one copy between the slab and a reply payload.
+  Status LoadInto(uint64_t slot, std::span<uint8_t> out) const;
   Result<PageBuffer> Load(uint64_t slot) const;
 
-  // Vectored forms. StoreBatch writes slots.size() pages (`pages` is their
+  // Vectored store: writes slots.size() pages (`pages` is their
   // concatenation), stopping at the first failure; *stored_out is the count
-  // stored, which on error is also the failing index. LoadBatch appends
-  // kPageSize bytes per slot to *out in request order, stopping at the first
-  // failure (pages already appended stay in *out).
+  // stored, which on error is also the failing index.
   Status StoreBatch(std::span<const uint64_t> slots, std::span<const uint8_t> pages,
                     uint64_t* stored_out);
-  Status LoadBatch(std::span<const uint64_t> slots, std::vector<uint8_t>* out) const;
 
   // Basic-parity primitives (§2.2 "Parity"): the data server computes
   // old XOR new while storing, the parity server folds a delta into the

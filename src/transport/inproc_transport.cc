@@ -7,39 +7,23 @@ Result<Message> InProcTransport::Call(const Message& request) {
     return UnavailableError("peer disconnected");
   }
   ++calls_;
-  // Round-trip through the wire format so in-process tests cover it.
-  const std::vector<uint8_t> encoded = Encode(request);
-  bytes_sent_ += encoded.size();
-  auto decoded = Decode(std::span<const uint8_t>(encoded));
-  if (!decoded.ok()) {
-    return decoded.status();
-  }
-  Message reply = handler_->Handle(*decoded);
-  const std::vector<uint8_t> encoded_reply = Encode(reply);
-  bytes_received_ += encoded_reply.size();
+  bytes_sent_ += EncodedSize(request);
+  Message reply = handler_->Handle(request);
+  bytes_received_ += EncodedSize(reply);
   if (drop_next_reply_) {
     drop_next_reply_ = false;
     connected_ = false;
     return UnavailableError("reply lost (injected)");
   }
-  auto decoded_reply = Decode(std::span<const uint8_t>(encoded_reply));
-  if (!decoded_reply.ok()) {
-    return decoded_reply.status();
-  }
-  return *decoded_reply;
+  return reply;
 }
 
 Status InProcTransport::SendOneWay(const Message& request) {
   if (!connected_) {
     return UnavailableError("peer disconnected");
   }
-  const std::vector<uint8_t> encoded = Encode(request);
-  bytes_sent_ += encoded.size();
-  auto decoded = Decode(std::span<const uint8_t>(encoded));
-  if (!decoded.ok()) {
-    return decoded.status();
-  }
-  handler_->Handle(*decoded);
+  bytes_sent_ += EncodedSize(request);
+  handler_->Handle(request);
   return OkStatus();
 }
 

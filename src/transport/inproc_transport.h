@@ -1,6 +1,9 @@
-// In-process transport: requests are encoded, "sent", decoded and dispatched
-// to a MessageHandler directly. The encode/decode round trip is kept
-// deliberately so that tests over this transport still cover the wire format.
+// In-process transport: the request goes to a MessageHandler by reference
+// and the reply comes back by move, so a page crosses it without a copy,
+// an encoding or a CRC. Traffic is still counted as the wire would carry
+// it: EncodedSize() of each request and reply. The wire format itself is
+// covered by the TCP tests and by tests/wire_checking_handler.h, which
+// round-trips every frame of whole-pager runs through Encode/Decode.
 //
 // Supports fault injection: Disconnect() makes every subsequent call fail
 // with UNAVAILABLE, exactly what the pager sees when a server workstation

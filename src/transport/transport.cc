@@ -1,6 +1,7 @@
 #include "src/transport/transport.h"
 
 #include <chrono>
+#include <utility>
 
 namespace rmp {
 
@@ -24,7 +25,11 @@ Result<Message> RpcFuture::Wait() {
   }
   std::unique_lock<std::mutex> lock(state_->mutex);
   state_->cv.wait(lock, [this] { return state_->result.has_value(); });
-  return *state_->result;
+  if (state_->consumed) {
+    return FailedPreconditionError("rpc reply already consumed");
+  }
+  state_->consumed = true;
+  return std::move(*state_->result);
 }
 
 Result<Message> RpcFuture::WaitFor(DurationNs timeout) {
@@ -36,6 +41,9 @@ Result<Message> RpcFuture::WaitFor(DurationNs timeout) {
                                              [this] { return state_->result.has_value(); });
   if (!completed) {
     return UnavailableError("rpc deadline exceeded");
+  }
+  if (state_->consumed) {
+    return FailedPreconditionError("rpc reply already consumed");
   }
   return *state_->result;
 }

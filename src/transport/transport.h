@@ -5,8 +5,9 @@
 // keeps that blocking Call() but extends it with a pipelined CallAsync():
 // many requests can be outstanding on one connection, with replies
 // demultiplexed by request_id. Two implementations exist:
-//   - InProcTransport: direct dispatch to a MessageHandler in the same
-//     process. Deterministic (CallAsync completes immediately); used by
+//   - InProcTransport: hands the request to a MessageHandler in the same
+//     process and returns its reply by move — no encoding, no copy of the
+//     payload. Deterministic (CallAsync completes immediately); used by
 //     tests, benches and the simulator.
 //   - TcpTransport: a real socket to a ServerRunner, possibly in another
 //     process (tools/rmp_server). A sender thread drains a bounded
@@ -40,8 +41,7 @@ class MessageHandler {
 };
 
 // Completion handle for one in-flight CallAsync. Copyable; all copies share
-// the same completion state. Wait() may be called from any thread and is
-// idempotent.
+// the same completion state, and exactly one of them may consume the reply.
 class RpcFuture {
  public:
   RpcFuture() = default;  // Invalid until assigned from a CallAsync.
@@ -55,12 +55,16 @@ class RpcFuture {
   // Non-blocking completion poll.
   bool ready() const;
 
-  // Blocks until the reply (or transport failure) arrives.
+  // Blocks until the reply (or transport failure) arrives and moves it out
+  // of the shared state, so a page payload reaches the joiner without a
+  // copy. A second Wait() on the same state returns FailedPreconditionError,
+  // never a moved-from reply.
   Result<Message> Wait();
 
-  // Wait() with a deadline: if no reply arrives within `timeout`, returns
-  // UnavailableError without consuming the future — the reply (should it
-  // still arrive) completes the shared state and a later Wait() observes it.
+  // A non-consuming look at the reply with a deadline: if no reply arrives
+  // within `timeout`, returns UnavailableError — the reply (should it still
+  // arrive) completes the shared state and a later Wait() consumes it. On
+  // success returns a copy and leaves the reply for Wait().
   // This is the client-side failure detector's primitive: a server that
   // stops answering is indistinguishable from a crashed one (§2.2), so
   // after the deadline the caller treats the peer as UNAVAILABLE.
@@ -73,6 +77,7 @@ class RpcFuture {
     std::mutex mutex;
     std::condition_variable cv;
     std::optional<Result<Message>> result;
+    bool consumed = false;  // Wait() moved `result` out.
   };
 
   static std::shared_ptr<State> NewState() { return std::make_shared<State>(); }

@@ -375,6 +375,37 @@ INSTANTIATE_TEST_SUITE_P(Policies, DecommissionFailsClosedTest,
                                                                        : "WriteThrough";
                          });
 
+// Garbage collection reopens stopped servers whose memory it freed, but a
+// member the map is draining stays stopped: after a GC pass, fresh pageouts
+// must not land on a leaving server.
+TEST(ClusterMembershipTest, GarbageCollectionDoesNotReopenALeavingMember) {
+  TestbedParams params;
+  params.policy = Policy::kParityLogging;
+  params.data_servers = 3;
+  params.server_capacity_pages = 512;
+  auto made = Testbed::Create(params);
+  ASSERT_TRUE(made.ok()) << made.status().message();
+  auto bed = std::move(*made);
+  ASSERT_TRUE(bed->EnableElasticMembership().ok());
+  constexpr uint64_t kHeld = 60;
+  auto loaded = bed->Preload(kHeld, kSeed);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  TimeNs now = *loaded;
+
+  ASSERT_TRUE(bed->DecommissionServer(1, &now).ok());
+  ASSERT_TRUE(bed->parity_logging()->GarbageCollect(&now).ok());
+  const uint64_t held = bed->server(1).live_pages();
+  PageBuffer page;
+  for (uint64_t id = kHeld; id < kHeld + 30; ++id) {
+    FillPattern(page.span(), Testbed::PreloadSeed(kSeed, id));
+    auto done = bed->backend().PageOut(now, id, page.span());
+    ASSERT_TRUE(done.ok()) << "page " << id << ": " << done.status().message();
+    now = *done;
+  }
+  EXPECT_LE(bed->server(1).live_pages(), held);
+  CheckAllPages(bed.get(), &now, kHeld + 30);
+}
+
 TEST(ClusterMembershipTest, MirroredJoinPlacesReplicasOnOwnerChain) {
   TestbedParams params;
   params.policy = Policy::kMirroring;

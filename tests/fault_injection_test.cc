@@ -432,6 +432,7 @@ class BatchFetchProbe : public RemotePagerBase {
   void ScanStoredCopies(const CopyVisitor&) const override {}  // Stores nothing.
 
   using RemotePagerBase::BatchFetch;
+  using RemotePagerBase::FetchedPages;
   using RemotePagerBase::PageWant;
 };
 
@@ -479,7 +480,7 @@ TEST(BatchFetchRetryTest, FailedChunkRetriesWithoutRefetchingSucceededChunks) {
                  .only_type = MessageType::kPageInBatch});
   rig.faults[1]->InstallPlan(plan);
 
-  std::vector<PageBuffer> out;
+  BatchFetchProbe::FetchedPages out;
   TimeNs now = 0;
   ASSERT_TRUE(rig.probe->BatchFetch(rig.wants, &out, &now).ok());
 
@@ -490,7 +491,7 @@ TEST(BatchFetchRetryTest, FailedChunkRetriesWithoutRefetchingSucceededChunks) {
   EXPECT_GE(rig.probe->stats().retries, 1);
   ASSERT_EQ(out.size(), rig.wants.size());
   for (size_t i = 0; i < rig.wants.size(); ++i) {
-    EXPECT_TRUE(CheckPattern(out[i].span(), rig.wants[i].peer * 1000 + (i % 6))) << i;
+    EXPECT_TRUE(CheckPattern(out.page(i), rig.wants[i].peer * 1000 + (i % 6))) << i;
   }
 }
 
@@ -502,7 +503,7 @@ TEST(BatchFetchRetryTest, ExhaustedRetriesFailTheChunkButKeepOthersSingleCharged
                  .only_type = MessageType::kPageInBatch, .repeat = -1});
   rig.faults[1]->InstallPlan(plan);
 
-  std::vector<PageBuffer> out;
+  BatchFetchProbe::FetchedPages out;
   TimeNs now = 0;
   const Status status = rig.probe->BatchFetch(rig.wants, &out, &now);
   ASSERT_FALSE(status.ok());
@@ -510,7 +511,7 @@ TEST(BatchFetchRetryTest, ExhaustedRetriesFailTheChunkButKeepOthersSingleCharged
   // Peer 0's chunk was fetched exactly once and its pages survive.
   EXPECT_EQ(rig.servers[0]->stats().batch_requests.load(), 1);
   for (size_t i = 0; i < 4; ++i) {
-    EXPECT_TRUE(CheckPattern(out[i].span(), i)) << i;
+    EXPECT_TRUE(CheckPattern(out.page(i), i)) << i;
   }
   // Bounded: first try + (max_attempts - 1) retries, then give up.
   const int max_attempts = RemotePagerParams().retry.max_attempts;

@@ -249,7 +249,7 @@ TEST(MemoryServerTest, XorMergeFoldsIntoStored) {
   EXPECT_EQ(*server.Load(*slot), expected);
 }
 
-TEST(MemoryServerTest, StoreBatchAndLoadBatchRoundTrip) {
+TEST(MemoryServerTest, StoreBatchAndPageInBatchRoundTrip) {
   MemoryServer server(SmallServer());
   auto base = server.Allocate(4);
   ASSERT_TRUE(base.ok());
@@ -266,9 +266,11 @@ TEST(MemoryServerTest, StoreBatchAndLoadBatchRoundTrip) {
   EXPECT_EQ(stored, 4u);
   EXPECT_EQ(server.stats().pageouts_served, 4);
 
-  std::vector<uint8_t> loaded;
-  ASSERT_TRUE(server.LoadBatch(slots, &loaded).ok());
-  EXPECT_EQ(loaded, pages);
+  const Message reply = server.Handle(MakePageInBatch(1, slots));
+  ASSERT_EQ(reply.status_code(), ErrorCode::kOk);
+  EXPECT_EQ(reply.count, 4u);
+  EXPECT_EQ(reply.payload, pages);
+  EXPECT_EQ(server.stats().pageins_served, 4);
 }
 
 TEST(MemoryServerTest, StoreBatchStopsAtFirstBadSlot) {

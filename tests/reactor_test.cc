@@ -31,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/cluster.h"
 #include "src/server/memory_server.h"
 #include "src/transport/reactor.h"
 #include "src/transport/scheduler.h"
@@ -693,6 +694,44 @@ TEST_F(ReactorTcpTest, LargeFramesFromTwoClientsDecodeOnOneLoop) {
   for (int c = 0; c < kClients; ++c) {
     EXPECT_EQ(failures[c], "") << "client " << c;
   }
+}
+
+// A full PAGEIN_BATCH reply over TCP moves out of its future to the joiner.
+// The reply lands on the transport's receiver thread while this thread first
+// times out in WaitFor (non-consuming) and then joins; a second consume of
+// the same future fails instead of handing back a moved-from, empty payload.
+TEST_F(ReactorTcpTest, FullPageInBatchJoinsAfterATimedOutWaitFor) {
+  StartServer();
+  auto client = Connect();
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ServerPeer peer("tcp", std::move(*client));
+  constexpr uint64_t kPages = kMaxBatchPages;
+  ASSERT_TRUE(peer.AllocExtent(kPages).ok());
+  std::vector<uint64_t> slots;
+  std::vector<uint8_t> pages(kPages * kPageSize);
+  for (uint64_t i = 0; i < kPages; ++i) {
+    auto slot = peer.TakeSlot();
+    ASSERT_TRUE(slot.ok());
+    slots.push_back(*slot);
+    FillPattern(std::span<uint8_t>(pages).subspan(i * kPageSize, kPageSize), 500 + *slot);
+  }
+  ASSERT_TRUE(peer.PageOutBatchTo(slots, pages).ok());
+
+  // The server holds the batch (dispatched on its first slot) for 50 ms.
+  server_->SetSlotDelayForTest(slots.front(), 50 * 1000);
+  RpcFuture future = peer.StartPageInBatch(slots);
+  RpcFuture copy = future;
+  EXPECT_EQ(copy.WaitFor(Millis(1)).status().code(), ErrorCode::kUnavailable);
+  auto joined = peer.JoinPageInBatch(std::move(future), kPages);
+  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+  ASSERT_EQ(joined->size(), kPages * kPageSize);
+  for (uint64_t i = 0; i < kPages; ++i) {
+    EXPECT_TRUE(CheckPattern(std::span<const uint8_t>(*joined).subspan(i * kPageSize, kPageSize),
+                             500 + slots[i]))
+        << "page " << i;
+  }
+  EXPECT_EQ(copy.Wait().status().code(), ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(peer.pages_fetched(), static_cast<int64_t>(kPages));
 }
 
 // A frame that trickles in one byte per segment is reassembled across as

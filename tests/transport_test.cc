@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "src/proto/cluster_map.h"
 #include "src/server/memory_server.h"
 #include "src/util/bytes.h"
 
@@ -94,14 +96,106 @@ TEST_F(InProcTransportTest, CallAsyncIsReadyImmediately) {
   EXPECT_EQ(reply->count, 4u);
 }
 
-TEST_F(InProcTransportTest, WaitIsIdempotent) {
-  RpcFuture future = transport_.CallAsync(MakeLoadQuery(1));
+TEST_F(InProcTransportTest, SecondWaitReportsAnError) {
+  auto alloc = transport_.Call(MakeAllocRequest(1, 1));
+  ASSERT_TRUE(alloc.ok());
+  PageBuffer page;
+  FillPattern(page.span(), 5);
+  ASSERT_TRUE(transport_.Call(MakePageOut(2, alloc->slot, page.span())).ok());
+  RpcFuture future = transport_.CallAsync(MakePageIn(3, alloc->slot));
+  RpcFuture copy = future;  // Copies share the state; only one may consume.
   auto first = future.Wait();
-  auto second = future.Wait();
   ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(first->type, second->type);
-  EXPECT_EQ(first->request_id, second->request_id);
+  EXPECT_TRUE(CheckPattern(std::span<const uint8_t>(first->payload), 5));
+  // Never a moved-from reply with an empty payload: the second consume and
+  // any later look fail outright.
+  EXPECT_EQ(future.Wait().status().code(), ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(copy.Wait().status().code(), ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(copy.WaitFor(Millis(1)).status().code(), ErrorCode::kFailedPrecondition);
+}
+
+TEST_F(InProcTransportTest, WaitForLeavesTheReplyForWait) {
+  RpcFuture future = transport_.CallAsync(MakeAllocRequest(1, 2));
+  auto peek = future.WaitFor(Millis(1));
+  ASSERT_TRUE(peek.ok());
+  auto again = future.WaitFor(Millis(1));
+  ASSERT_TRUE(again.ok());
+  auto reply = future.Wait();
+  ASSERT_TRUE(reply.ok());
+  EXPECT_EQ(reply->type, MessageType::kAllocReply);
+  EXPECT_EQ(reply->count, peek->count);
+  EXPECT_EQ(reply->slot, again->slot);
+}
+
+// The fabric charges and wire_bytes_per_fault rest on InProcTransport
+// counting exactly what the wire would carry. Every request type the pager
+// sends, and every reply type the server answers with (the empty-payload
+// acks and error replies included), must count Encode(m).size().
+TEST_F(InProcTransportTest, CountsEncodedSizeOfEveryMessageType) {
+  auto alloc = transport_.Call(MakeAllocRequest(1, 8));
+  ASSERT_TRUE(alloc.ok());
+  const uint64_t slot = alloc->slot;
+  PageBuffer page;
+  FillPattern(page.span(), 9);
+  std::vector<uint64_t> slots = {slot + 1, slot + 2, slot + 3};
+  std::vector<uint8_t> pages(slots.size() * kPageSize);
+  for (size_t i = 0; i < slots.size(); ++i) {
+    FillPattern(std::span<uint8_t>(pages).subspan(i * kPageSize, kPageSize), 20 + i);
+  }
+  ClusterMember member;
+  const std::vector<uint8_t> map = ClusterMap::Build(3, 16, {member}).Serialize();
+
+  std::vector<Message> requests;
+  requests.push_back(MakeAllocRequest(2, 1));
+  requests.push_back(MakePageOut(3, slot, page.span()));
+  requests.push_back(MakePageIn(4, slot));
+  requests.push_back(MakePageIn(5, slot + 7));  // Never stored: error reply.
+  requests.push_back(MakePageOutBatch(6, slots, pages));
+  requests.push_back(MakePageInBatch(7, slots));
+  requests.push_back(MakePageInBatch(8, std::vector<uint64_t>{slot + 6}));  // Fails.
+  Message delta = MakePageOut(9, slot + 4, page.span());
+  delta.type = MessageType::kDeltaPageOut;
+  requests.push_back(delta);
+  Message merge = MakePageOut(10, slot + 5, page.span());
+  merge.type = MessageType::kXorMerge;
+  requests.push_back(merge);
+  requests.push_back(MakeLoadQuery(11));
+  requests.push_back(MakeHeartbeat(12));
+  requests.push_back(MakeStatsQuery(13));
+  requests.push_back(MakeTraceDump(14));
+  requests.push_back(MakeTraceDump(15, 1));
+  requests.push_back(MakeEventsQuery(16));
+  requests.push_back(MakeMapPublish(17, 3, map));
+  requests.push_back(MakeMapQuery(18));
+  requests.push_back(MakeFreeRequest(19, slot, 1));
+  requests.push_back(MakeShutdown(20));
+
+  std::vector<MessageType> reply_types;
+  for (const Message& request : requests) {
+    const uint64_t sent = transport_.bytes_sent();
+    const uint64_t received = transport_.bytes_received();
+    auto reply = transport_.Call(request);
+    ASSERT_TRUE(reply.ok()) << MessageTypeName(request.type);
+    EXPECT_EQ(transport_.bytes_sent() - sent, Encode(request).size())
+        << MessageTypeName(request.type);
+    EXPECT_EQ(transport_.bytes_received() - received, Encode(*reply).size())
+        << MessageTypeName(reply->type);
+    reply_types.push_back(reply->type);
+  }
+  for (const MessageType type :
+       {MessageType::kAllocReply, MessageType::kPageOutAck, MessageType::kPageInReply,
+        MessageType::kPageOutBatchAck, MessageType::kPageInBatchReply,
+        MessageType::kXorMergeAck, MessageType::kLoadReport, MessageType::kHeartbeatAck,
+        MessageType::kStatsReply, MessageType::kTraceDumpReply, MessageType::kEventsReply,
+        MessageType::kMapPublishAck, MessageType::kMapReply, MessageType::kFreeReply}) {
+    EXPECT_NE(std::find(reply_types.begin(), reply_types.end(), type), reply_types.end())
+        << "no " << MessageTypeName(type) << " reply was counted";
+  }
+
+  const uint64_t sent = transport_.bytes_sent();
+  const Message one_way = MakeShutdown(21);
+  ASSERT_TRUE(transport_.SendOneWay(one_way).ok());
+  EXPECT_EQ(transport_.bytes_sent() - sent, Encode(one_way).size());
 }
 
 TEST_F(InProcTransportTest, CallAsyncAfterDisconnectIsReadyUnavailable) {
